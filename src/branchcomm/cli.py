@@ -16,7 +16,6 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import dataclass
 
 from .branches import branches_to_json, decompose_by_register, verify_transfer
 from .protocol import (
@@ -49,22 +48,6 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
-@dataclass(frozen=True)
-class CliConfig:
-    """Validated run/export parameters shared by those subcommands."""
-
-    subcommand: str
-    message: str
-    n: int
-    amp0: float
-    amp1: float
-    uncompute: bool
-    swap: bool
-    output_path: str | None
-    format: str = "json"
-    measure: bool = False
-
-
 def _normalized_amplitudes(amp0: float, amp1: float) -> tuple[float, float]:
     if amp0 < 0 or amp1 < 0 or not (math.isfinite(amp0) and math.isfinite(amp1)):
         raise _UsageError("amplitudes must be finite and non-negative")
@@ -84,28 +67,24 @@ def _normalized_amplitudes(amp0: float, amp1: float) -> tuple[float, float]:
     return amp0 / scale, amp1 / scale
 
 
-def _cli_config(args: argparse.Namespace) -> CliConfig:
-    message = args.message
-    if not message or any(c not in "01" for c in message):
-        raise _UsageError(
-            f"--message must be a nonempty string over {{0,1}}, got {message!r}"
-        )
-    n = args.n if args.n is not None else len(message)
-    if n != len(message):
-        raise _UsageError(f"--n {n} does not match message width {len(message)}")
+def _protocol_inputs(args: argparse.Namespace) -> tuple[ProtocolConfig, Message]:
+    """Validated configuration and message from the run/export flags."""
+    try:
+        message = Message(args.message)
+    except ValueError as exc:
+        raise _UsageError(str(exc)) from None
+    n = args.n if args.n is not None else message.n
+    if n != message.n:
+        raise _UsageError(f"--n {n} does not match message width {message.n}")
     amp0, amp1 = _normalized_amplitudes(args.amp0, args.amp1)
-    return CliConfig(
-        subcommand=args.command,
-        message=message,
+    config = ProtocolConfig(
         n=n,
         amp0=amp0,
         amp1=amp1,
-        uncompute=args.uncompute,
-        swap=args.swap,
-        output_path=args.output,
-        format=getattr(args, "format", "json"),
-        measure=getattr(args, "measure", False),
+        uncompute_memory=args.uncompute,
+        apply_branch_swap=args.swap,
     )
+    return config, message
 
 
 def _amplitude_pairs(state: StateVector) -> list[list[float]]:
@@ -148,20 +127,13 @@ def _circuit_summary(circuit: Circuit) -> str:
     return f"circuit: {circuit.gate_count} ops, layer depth {circuit.layer_depth}"
 
 
-def cmd_run(config: CliConfig) -> int:
-    message = Message(config.message)
-    pconfig = ProtocolConfig(
-        n=config.n,
-        amp0=config.amp0,
-        amp1=config.amp1,
-        uncompute_memory=config.uncompute,
-        apply_branch_swap=config.swap,
-    )
-    run = run_protocol(pconfig, message)
-    _emit(json.dumps(run_document(run, message), indent=2), config.output_path)
+def cmd_run(args: argparse.Namespace) -> int:
+    config, message = _protocol_inputs(args)
+    run = run_protocol(config, message)
+    _emit(json.dumps(run_document(run, message), indent=2), args.output)
 
     err = sys.stderr
-    print(_circuit_summary(build_protocol_circuit(pconfig, message)), file=err)
+    print(_circuit_summary(build_protocol_circuit(config, message)), file=err)
     print("final-state branches by room record R:", file=err)
     for branch in decompose_by_register(run.final, "R"):
         if branch.local_state is not None:
@@ -174,7 +146,7 @@ def cmd_run(config: CliConfig) -> int:
             f"  R={branch.label}  |amplitude| = {abs(branch.amplitude):.6f}  {values}",
             file=err,
         )
-    if not config.swap:
+    if not config.apply_branch_swap:
         print("verdict: skipped (branch swap disabled)", file=err)
         return 0
     verdict = verify_transfer(run, message)
@@ -190,9 +162,6 @@ def cmd_run(config: CliConfig) -> int:
 
 
 def cmd_verify(suite: str) -> int:
-    if suite != "all" and suite not in SUITE_NAMES:
-        print(f"error: unknown suite {suite!r}", file=sys.stderr)
-        return 1
     reports = run_suite(suite)
     failures = 0
     for report in reports:
@@ -242,17 +211,10 @@ def circuit_document(circuit: Circuit, message: Message) -> dict:
     }
 
 
-def cmd_export(config: CliConfig) -> int:
-    message = Message(config.message)
-    pconfig = ProtocolConfig(
-        n=config.n,
-        amp0=config.amp0,
-        amp1=config.amp1,
-        uncompute_memory=config.uncompute,
-        apply_branch_swap=config.swap,
-    )
-    circuit = build_protocol_circuit(pconfig, message)
-    if config.format == "qasm":
+def cmd_export(args: argparse.Namespace) -> int:
+    config, message = _protocol_inputs(args)
+    circuit = build_protocol_circuit(config, message)
+    if args.format == "qasm":
         if any(op.kind is GateKind.RY for op in circuit.ops):
             print(
                 "error: rotation preparation (unequal amplitudes) has no "
@@ -260,13 +222,10 @@ def cmd_export(config: CliConfig) -> int:
                 file=sys.stderr,
             )
             return 1
-        text = to_qasm(circuit, measure=config.measure)
-    elif config.format == "json":
-        text = json.dumps(circuit_document(circuit, message), indent=2)
+        text = to_qasm(circuit, measure=args.measure)
     else:
-        print(f"error: unsupported format {config.format!r}", file=sys.stderr)
-        return 1
-    _emit(text, config.output_path)
+        text = json.dumps(circuit_document(circuit, message), indent=2)
+    _emit(text, args.output)
     print(_circuit_summary(circuit), file=sys.stderr)
     return 0
 
@@ -346,13 +305,13 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         if args.command == "run":
-            return cmd_run(_cli_config(args))
+            return cmd_run(args)
         if args.command == "verify":
             return cmd_verify(args.suite)
         if args.command == "swap-synth":
             return cmd_swap_synth(args.friend0, args.friend1)
         if args.command == "export":
-            return cmd_export(_cli_config(args))
+            return cmd_export(args)
     except _UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

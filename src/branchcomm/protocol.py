@@ -38,6 +38,7 @@ from .statevec import (
     GateOp,
     StateVector,
     apply_circuit,
+    check_bits,
     make_basis_state,
     protocol_layout,
     zero_state,
@@ -56,10 +57,7 @@ class Message:
     bits: str
 
     def __post_init__(self) -> None:
-        if not isinstance(self.bits, str) or not self.bits:
-            raise ValueError("message must be a nonempty bit-string")
-        if any(c not in "01" for c in self.bits):
-            raise ValueError(f"message must contain only 0/1, got {self.bits!r}")
+        check_bits(self.bits, "message")
 
     @property
     def n(self) -> int:
@@ -85,8 +83,8 @@ class ProtocolConfig:
     apply_branch_swap: bool = True
 
     def __post_init__(self) -> None:
-        if self.n < 1:
-            raise ValueError(f"message width must be >= 1, got {self.n}")
+        if isinstance(self.n, bool) or not isinstance(self.n, int) or self.n < 1:
+            raise ValueError(f"message width must be an int >= 1, got {self.n!r}")
         for name, amp in (("amp0", self.amp0), ("amp1", self.amp1)):
             if isinstance(amp, complex) or not math.isfinite(amp):
                 raise ValueError(f"{name} must be a finite real, got {amp!r}")
@@ -169,12 +167,16 @@ def checkpoint_reference_state(
 
     Built directly from basis vectors, independent of any circuit evolution,
     so simulated checkpoints can be validated against it. Defined for labels
-    eq2 through eq6 and eq8.
+    eq2 through eq6 and eq8, when the configuration produces that label.
     """
     if message.n != config.n:
         raise ValueError(f"message width {message.n} != configured width {config.n}")
     if label not in REFERENCE_LABELS:
         raise ValueError(f"no closed-form reference for label {label!r}")
+    if (label == "eq6" and not config.uncompute_memory) or (
+        label == "eq8" and not config.apply_branch_swap
+    ):
+        raise ValueError(f"this configuration produces no checkpoint {label!r}")
     n = config.n
     mu = message.bits
     zeros = "0" * n
@@ -198,7 +200,8 @@ def checkpoint_reference_state(
         term1 = {**base, **ones, "P": mu}
     else:  # eq8: swap exchanges the Q/R/F markers between the two branches
         term0 = {**base, **ones}
-        term1 = {**base, "P": mu}
+        # Without the uncompute the message branch still remembers mu.
+        term1 = {**base, "M": zeros if config.uncompute_memory else mu, "P": mu}
 
     layout = protocol_layout(n)
     amps = (

@@ -17,35 +17,26 @@ from .statevec import (
     RegisterLayout,
     StateVector,
     apply_circuit,
+    flip_pairs,
     zero_state,
 )
 
 
-def _gate_lines(op: GateOp) -> list[str]:
-    kind = op.kind
-    if kind is GateKind.H:
+def _gate_lines(op: GateOp, total: int) -> list[str]:
+    """One x or cx per flipped bit, in op.targets order."""
+    if op.kind is GateKind.H:
         return [f"h q[{op.targets[0]}];"]
-    if kind is GateKind.X:
-        return [f"x q[{op.targets[0]}];"]
-    if kind is GateKind.MULTI_X:
-        return [f"x q[{t}];" for t in op.targets]
-    if kind is GateKind.CNOT:
-        return [f"cx q[{op.controls[0]}], q[{op.targets[0]}];"]
-    if kind is GateKind.ENCODE_MU:
-        lines = []
-        for bit, t in zip(op.payload, op.targets):
-            if bit != "1":
-                continue
-            if op.controls:
-                lines.append(f"cx q[{op.controls[0]}], q[{t}];")
-            else:
-                lines.append(f"x q[{t}];")
-        return lines
-    if kind is GateKind.TRANSVERSAL_CNOT:
-        return [f"cx q[{c}], q[{t}];" for c, t in zip(op.controls, op.targets)]
-    raise ValueError(
-        f"{kind.value} has no representation in the x/h/cx dialect"
-    )
+    lines = []
+    for cmask, fmask in flip_pairs(op, total):
+        if cmask & (cmask - 1):
+            raise ValueError(
+                f"multi-control {op.kind.value} has no x/h/cx representation"
+            )
+        head = f"cx q[{total - cmask.bit_length()}], " if cmask else "x "
+        lines.extend(
+            f"{head}q[{t}];" for t in op.targets if fmask >> (total - 1 - t) & 1
+        )
+    return lines
 
 
 def to_qasm(circuit: Circuit, measure: bool = False) -> str:
@@ -55,16 +46,13 @@ def to_qasm(circuit: Circuit, measure: bool = False) -> str:
     raise ValueError. With measure=True, one classical register per layout
     register is declared and measured at the end.
     """
-    for op in circuit.ops:
-        if op.kind is GateKind.ENCODE_MU and len(op.controls) > 1:
-            raise ValueError("multi-control ENCODE_MU has no x/h/cx representation")
     total = circuit.layout.total_qubits
     lines = ['OPENQASM 2.0;', 'include "qelib1.inc";', f"qreg q[{total}];"]
     if measure:
         for name, width in circuit.layout.registers:
             lines.append(f"creg c{name.lower()}[{width}];")
     for op in circuit.ops:
-        lines.extend(_gate_lines(op))
+        lines.extend(_gate_lines(op, total))
     if measure:
         for name, width in circuit.layout.registers:
             offset = circuit.layout.offset(name)

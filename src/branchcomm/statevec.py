@@ -7,9 +7,16 @@ to right exactly like the ket it denotes: for registers Q(1), R(1), F(1),
 the assignment {Q: "1", R: "1", F: "1"} is global index 0b111 = 7.
 
 States are immutable value objects; every operation returns a new state and
-never touches its input. Gates are applied with vectorized index kernels,
-while gate_matrix builds dense operators by direct scatter so the two paths
-stay independent of each other.
+never touches its input.
+
+Five gate kinds (X, MULTI_X, CNOT, ENCODE_MU, TRANSVERSAL_CNOT) only permute
+basis states. Each compiles to an ordered list of (control mask C, flip
+mask F) pairs, applied in turn; a pair flips the bits of F in every basis
+index whose C bits are all set, with bit masks taken over the global index.
+These pairs are the single description of those kinds: the vector kernel,
+gate_matrix and the QASM emitter all read them. H and RY mix the two values
+of one qubit and have their own kernel. The route that shares no code with
+this module is the Kronecker-product oracle in tests/helpers.py.
 """
 
 from __future__ import annotations
@@ -39,7 +46,8 @@ class GateKind(enum.Enum):
     TRANSVERSAL_CNOT = "TRANSVERSAL_CNOT"
 
 
-def _check_bits(bits: str, what: str) -> str:
+def check_bits(bits: str, what: str) -> str:
+    """Return bits if it is a nonempty string over {0,1}, else raise ValueError."""
     if not isinstance(bits, str) or not bits or any(c not in "01" for c in bits):
         raise ValueError(f"{what} must be a nonempty string over {{0,1}}, got {bits!r}")
     return bits
@@ -112,7 +120,7 @@ class RegisterLayout:
         for name, width in self.registers:
             if name not in assignment:
                 raise ValueError(f"assignment missing register {name!r}")
-            bits = _check_bits(assignment[name], f"register {name!r} value")
+            bits = check_bits(assignment[name], f"register {name!r} value")
             if len(bits) != width:
                 raise ValueError(
                     f"register {name!r} expects {width} bits, got {len(bits)}"
@@ -279,7 +287,7 @@ class GateOp:
         elif kind is GateKind.ENCODE_MU:
             if self.payload is None:
                 raise ValueError("ENCODE_MU requires a payload bit-string")
-            _check_bits(self.payload, "ENCODE_MU payload")
+            check_bits(self.payload, "ENCODE_MU payload")
             if len(self.payload) != len(self.targets):
                 raise ValueError(
                     f"ENCODE_MU payload width {len(self.payload)} != "
@@ -354,41 +362,39 @@ class Circuit:
 # gate application kernels
 
 
-def _mask(total: int, qubit: int) -> int:
-    return 1 << (total - 1 - qubit)
+def _mask(total: int, qubits: Iterable[int]) -> int:
+    """Global-index bit mask of distinct qubit positions."""
+    return sum(1 << (total - 1 - q) for q in qubits)
 
 
-def _permutation_source(op: GateOp, total: int) -> np.ndarray:
-    """Source index of each output index, for the permutation-like kinds."""
-    idx = np.arange(1 << total)
+def flip_pairs(op: GateOp, total: int) -> tuple[tuple[int, int], ...]:
+    """(control mask, flip mask) pairs of a basis-permuting op, in order."""
     kind = op.kind
-    if kind is GateKind.X:
-        return idx ^ _mask(total, op.targets[0])
-    if kind is GateKind.MULTI_X:
-        flips = 0
-        for t in op.targets:
-            flips |= _mask(total, t)
-        return idx ^ flips
-    if kind is GateKind.CNOT:
-        cbit = (idx >> (total - 1 - op.controls[0])) & 1
-        return idx ^ (cbit << (total - 1 - op.targets[0]))
-    if kind is GateKind.ENCODE_MU:
-        flips = 0
-        for bit, t in zip(op.payload, op.targets):
-            if bit == "1":
-                flips |= _mask(total, t)
-        if not op.controls:
-            return idx ^ flips
-        cond = np.ones(idx.shape, dtype=bool)
-        for c in op.controls:
-            cond &= ((idx >> (total - 1 - c)) & 1).astype(bool)
-        return np.where(cond, idx ^ flips, idx)
     if kind is GateKind.TRANSVERSAL_CNOT:
-        flips = np.zeros_like(idx)
-        for c, t in zip(op.controls, op.targets):
-            flips |= ((idx >> (total - 1 - c)) & 1) << (total - 1 - t)
-        return idx ^ flips
-    raise ValueError(f"{kind.value} is not a permutation gate")
+        return tuple(
+            (_mask(total, (c,)), _mask(total, (t,)))
+            for c, t in zip(op.controls, op.targets)
+        )
+    if kind is GateKind.ENCODE_MU:
+        flipped = [t for bit, t in zip(op.payload, op.targets) if bit == "1"]
+    elif kind in (GateKind.X, GateKind.MULTI_X, GateKind.CNOT):
+        flipped = op.targets
+    else:
+        raise ValueError(f"{kind.value} is not a basis permutation")
+    return ((_mask(total, op.controls), _mask(total, flipped)),)
+
+
+def _permute(
+    amps: np.ndarray, pairs: tuple[tuple[int, int], ...], total: int
+) -> np.ndarray:
+    """out[i] = amps[source(i)] for the permutation the pairs describe."""
+    out = amps.reshape((2,) * total).copy()
+    bits = [1 << (total - 1 - q) for q in range(total)]
+    for cmask, fmask in pairs:
+        # Length-1 slices keep every axis, so axis q stays qubit q.
+        view = out[tuple(slice(1, 2) if cmask & b else slice(None) for b in bits)]
+        view[...] = np.flip(view, tuple(q for q, b in enumerate(bits) if fmask & b))
+    return out.reshape(-1)
 
 
 def _apply_kernel(amps: np.ndarray, op: GateOp, total: int) -> np.ndarray:
@@ -406,7 +412,7 @@ def _apply_kernel(amps: np.ndarray, op: GateOp, total: int) -> np.ndarray:
             out[:, 0, :] = c * a[:, 0, :] - s * a[:, 1, :]
             out[:, 1, :] = s * a[:, 0, :] + c * a[:, 1, :]
         return out.reshape(-1)
-    return amps[_permutation_source(op, total)]
+    return _permute(amps, flip_pairs(op, total), total)
 
 
 def apply_gate(state: StateVector, op: GateOp) -> StateVector:
@@ -454,8 +460,10 @@ def fidelity(a: StateVector, b: StateVector) -> float:
 def gate_matrix(op: GateOp, layout: RegisterLayout) -> np.ndarray:
     """Dense unitary of one gate on the full index space.
 
-    Guarded at GATE_MATRIX_QUBIT_LIMIT qubits; built by direct scatter,
-    independent of the vector kernels in apply_gate.
+    Guarded at GATE_MATRIX_QUBIT_LIMIT qubits. Permutation kinds scatter the
+    source index the flip pairs give each output index, so they share their
+    definition with apply_gate; the Kronecker oracle in tests/helpers.py is
+    the independent check.
     """
     total = layout.total_qubits
     if total > GATE_MATRIX_QUBIT_LIMIT:
@@ -467,7 +475,7 @@ def gate_matrix(op: GateOp, layout: RegisterLayout) -> np.ndarray:
     dim = 1 << total
     matrix = np.zeros((dim, dim), dtype=np.complex128)
     if op.kind in (GateKind.H, GateKind.RY):
-        mask = _mask(total, op.targets[0])
+        mask = _mask(total, op.targets)
         idx = np.arange(dim)
         i0 = idx[(idx & mask) == 0]
         i1 = i0 + mask
@@ -483,6 +491,6 @@ def gate_matrix(op: GateOp, layout: RegisterLayout) -> np.ndarray:
             matrix[i1, i0] = s
             matrix[i1, i1] = c
     else:
-        src = _permutation_source(op, total)
+        src = _permute(np.arange(dim), flip_pairs(op, total), total)
         matrix[np.arange(dim), src] = 1.0
     return matrix

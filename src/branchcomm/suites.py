@@ -21,16 +21,10 @@ from .protocol import (
     Message,
     ProtocolConfig,
     build_protocol_circuit,
+    checkpoint_reference_state,
     run_protocol,
 )
-from .statevec import (
-    GateKind,
-    StateVector,
-    fidelity,
-    gate_matrix,
-    make_basis_state,
-    protocol_layout,
-)
+from .statevec import GateKind, fidelity, gate_matrix, protocol_layout
 
 SUITE_NAMES = ("theorem1", "corollary1", "lemma1", "corollary2")
 
@@ -126,21 +120,6 @@ def theorem1_suite() -> list[ClaimReport]:
     return [_transfer_report(), _mu_independence_report()]
 
 
-def _no_uncompute_reference(message: Message) -> StateVector:
-    # Post-swap state when the memory was never uncomputed: the message
-    # branch keeps M = P = mu, so the receiver inherits a written memory.
-    layout = protocol_layout(message.n)
-    zeros = "0" * message.n
-    term0 = make_basis_state(
-        layout, {"Q": "1", "R": "1", "F": "1", "M": zeros, "P": zeros}
-    )
-    term1 = make_basis_state(
-        layout, {"Q": "0", "R": "0", "F": "0", "M": message.bits, "P": message.bits}
-    )
-    amps = np.sqrt(0.5) * (term0.amplitudes + term1.amplitudes)
-    return StateVector(layout, amps)
-
-
 def corollary1_suite(max_n: int = 3) -> list[ClaimReport]:
     checked = 0
     min_fidelity = 1.0
@@ -149,7 +128,10 @@ def corollary1_suite(max_n: int = 3) -> list[ClaimReport]:
         for message in _all_messages(n, nonblank=True):
             final, verdict = run_no_uncompute_variant(message)
             checked += 1
-            fid = fidelity(final, _no_uncompute_reference(message))
+            reference = checkpoint_reference_state(
+                "eq8", ProtocolConfig(n=n, uncompute_memory=False), message
+            )
+            fid = fidelity(final, reference)
             min_fidelity = min(min_fidelity, fid)
             if fid < 1.0 - 1e-12:
                 failures.append(f"n={n} mu={message.bits}: state fidelity {fid}")

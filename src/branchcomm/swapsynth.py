@@ -18,6 +18,7 @@ from .statevec import (
     StateVector,
     apply_circuit,
     apply_gate,
+    check_bits,
     protocol_layout,
     zero_state,
 )
@@ -30,10 +31,7 @@ class FriendSnapshot:
     bits: str
 
     def __post_init__(self) -> None:
-        if not isinstance(self.bits, str) or not self.bits:
-            raise ValueError("snapshot must be a nonempty bit-string")
-        if any(c not in "01" for c in self.bits):
-            raise ValueError(f"snapshot must contain only 0/1, got {self.bits!r}")
+        check_bits(self.bits, "snapshot")
 
     @property
     def width(self) -> int:

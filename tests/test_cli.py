@@ -215,6 +215,83 @@ def test_export_json(capsys):
     assert doc["ops"][3]["payload"] == "101"
 
 
+QASM_101_HEADER = 'OPENQASM 2.0;\ninclude "qelib1.inc";\nqreg q[9];\n'
+QASM_101_GATES = (
+    "h q[0];\n"
+    "cx q[0], q[2];\n"
+    "cx q[2], q[1];\n"
+    "cx q[2], q[3];\n"
+    "cx q[2], q[5];\n"
+    "cx q[3], q[6];\n"
+    "cx q[4], q[7];\n"
+    "cx q[5], q[8];\n"
+    "cx q[6], q[3];\n"
+    "cx q[7], q[4];\n"
+    "cx q[8], q[5];\n"
+    "x q[0];\n"
+    "x q[1];\n"
+    "x q[2];\n"
+)
+QASM_101_CREGS = (
+    "creg cq[1];\ncreg cr[1];\ncreg cf[1];\ncreg cm[3];\ncreg cp[3];\n"
+)
+QASM_101_MEASURES = "".join(
+    f"measure q[{q}] -> c{reg}[{i}];\n"
+    for q, (reg, i) in enumerate(
+        [("q", 0), ("r", 0), ("f", 0), ("m", 0), ("m", 1), ("m", 2),
+         ("p", 0), ("p", 1), ("p", 2)]
+    )
+)
+
+
+def _op(kind, targets, controls=(), payload=None):
+    return {
+        "kind": kind,
+        "targets": list(targets),
+        "controls": list(controls),
+        "payload": payload,
+        "angle": None,
+    }
+
+
+JSON_101 = json.dumps(
+    {
+        "layout": [["Q", 1], ["R", 1], ["F", 1], ["M", 3], ["P", 3]],
+        "message": "101",
+        "gate_count": 7,
+        "layer_depth": 6,
+        "ops": [
+            _op("H", [0]),
+            _op("CNOT", [2], [0]),
+            _op("CNOT", [1], [2]),
+            _op("ENCODE_MU", [3, 4, 5], [2], "101"),
+            _op("TRANSVERSAL_CNOT", [6, 7, 8], [3, 4, 5]),
+            _op("TRANSVERSAL_CNOT", [3, 4, 5], [6, 7, 8]),
+            _op("MULTI_X", [0, 1, 2]),
+        ],
+    },
+    indent=2,
+) + "\n"
+
+
+@pytest.mark.parametrize(
+    "flags, expected",
+    [
+        ((), QASM_101_HEADER + QASM_101_GATES),
+        (
+            ("--measure",),
+            QASM_101_HEADER + QASM_101_CREGS + QASM_101_GATES + QASM_101_MEASURES,
+        ),
+        (("--format", "json"), JSON_101),
+    ],
+)
+def test_export_message_101_is_pinned(capsys, flags, expected):
+    code, out, err = run_cli(capsys, "export", "--message", "101", *flags)
+    assert code == 0
+    assert out == expected
+    assert err == "circuit: 7 ops, layer depth 6\n"
+
+
 def test_export_unequal_amplitudes_has_no_qasm(capsys):
     code, _, err = run_cli(
         capsys,

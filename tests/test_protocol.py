@@ -43,8 +43,9 @@ def test_message_validation():
 
 def test_config_validation():
     ProtocolConfig(n=2, amp0=math.sqrt(1 / 3), amp1=math.sqrt(2 / 3))
-    with pytest.raises(ValueError):
-        ProtocolConfig(n=0)
+    for bad_n in (0, True, 2.5):
+        with pytest.raises(ValueError):
+            ProtocolConfig(n=bad_n)
     with pytest.raises(ValueError):
         ProtocolConfig(amp0=-SQRT_HALF, amp1=SQRT_HALF)
     with pytest.raises(ValueError):
@@ -203,12 +204,28 @@ def test_reference_state_closed_forms():
         layout.index_for({**zeros, "Q": "1", "R": "1", "F": "1"})
     ] == pytest.approx(math.sqrt(1 / 3))
 
+    # Without the uncompute the message branch keeps M = mu after the swap.
+    no_uncompute = ProtocolConfig(n=1, uncompute_memory=False)
+    eq8 = checkpoint_reference_state("eq8", no_uncompute, message)
+    assert eq8.amplitudes[
+        layout.index_for({**zeros, "M": "1", "P": "1"})
+    ] == pytest.approx(SQRT_HALF)
+    run = run_protocol(no_uncompute, message)
+    assert fidelity(run.final, eq8) == pytest.approx(1.0, abs=1e-12)
+
 
 def test_reference_state_rejects_unknown_labels():
     config = ProtocolConfig(n=1)
     for label in ("eq1", "eq7", "eq9", "final"):
         with pytest.raises(ValueError):
             checkpoint_reference_state(label, config, Message("1"))
+    # Labels the configuration never produces have no reference either.
+    for label, skipped in (
+        ("eq6", ProtocolConfig(n=1, uncompute_memory=False)),
+        ("eq8", ProtocolConfig(n=1, apply_branch_swap=False)),
+    ):
+        with pytest.raises(ValueError):
+            checkpoint_reference_state(label, skipped, Message("1"))
 
 
 def test_run_against_dense_oracle_n3():

@@ -6,7 +6,7 @@ import pytest
 
 from branchcomm.protocol import Message, ProtocolConfig, build_protocol_circuit, run_protocol
 from branchcomm.qasm import parse_qasm, simulate_qasm, to_qasm
-from branchcomm.statevec import GateKind
+from branchcomm.statevec import Circuit, GateKind, GateOp, RegisterLayout
 
 
 def gate_histogram(text):
@@ -37,6 +37,34 @@ def test_default_run_emits_the_enumerated_gate_list():
         "x q[2];",
     ]
     assert gate_histogram(text) == {"h": 1, "cx": 5, "x": 3}
+
+
+def test_hand_built_circuit_keeps_target_order():
+    # Targets deliberately out of ascending order: lines follow op.targets.
+    layout = RegisterLayout((("q", 5),))
+    circuit = Circuit(
+        layout,
+        (
+            GateOp.multi_x((3, 0, 2)),
+            GateOp.encode("011", (4, 2, 1), control=0),
+            GateOp.encode("11", (3, 1)),
+            GateOp.transversal_cnot((4, 0), (1, 3)),
+        ),
+    )
+    assert to_qasm(circuit) == (
+        "OPENQASM 2.0;\n"
+        'include "qelib1.inc";\n'
+        "qreg q[5];\n"
+        "x q[3];\n"
+        "x q[0];\n"
+        "x q[2];\n"
+        "cx q[0], q[2];\n"
+        "cx q[0], q[1];\n"
+        "x q[3];\n"
+        "x q[1];\n"
+        "cx q[4], q[1];\n"
+        "cx q[0], q[3];\n"
+    )
 
 
 def test_blank_message_drops_the_encoder_line():
@@ -107,3 +135,10 @@ def test_rotation_gates_are_outside_the_dialect():
     assert circuit.ops[0].kind is GateKind.RY
     with pytest.raises(ValueError):
         to_qasm(circuit)
+
+
+def test_multi_control_encoder_is_outside_the_dialect():
+    layout = RegisterLayout((("q", 3),))
+    op = GateOp(GateKind.ENCODE_MU, (1,), (0, 2), payload="1")
+    with pytest.raises(ValueError, match="multi-control"):
+        to_qasm(Circuit(layout, (op,)))
