@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .protocol import Message, ProtocolRun
-from .statevec import RegisterLayout, StateVector
+from .statevec import StateVector
 
 # Amplitudes below this are numerical dust and are treated as zero.
 ZERO_TOL = 1e-12

@@ -17,7 +17,7 @@ import json
 import math
 import sys
 
-from .branches import branches_to_json, decompose_by_register, verify_transfer
+from .branches import decompose_by_register, verify_transfer
 from .protocol import (
     Message,
     ProtocolConfig,
@@ -166,18 +166,17 @@ def cmd_verify(suite: str) -> int:
     failures = 0
     for report in reports:
         status = "PASS" if report.passed else "FAIL"
-        if not report.passed:
-            failures += 1
-        numbers = {
-            key: value
-            for key, value in report.measurements.items()
-            if isinstance(value, (int, float))
-        }
         detail = ", ".join(
             f"{key}={value:.3e}" if isinstance(value, float) else f"{key}={value}"
-            for key, value in numbers.items()
+            for key, value in report.measurements.items()
+            if isinstance(value, (int, float))
         )
         print(f"[{status}] {report.claim} ({detail})")
+        if not report.passed:
+            failures += 1
+            for key, value in report.measurements.items():
+                for entry in value if isinstance(value, list) else ():
+                    print(f"  {key}: {entry}")
     print(f"suite {suite!r}: {len(reports) - failures}/{len(reports)} claims verified")
     return 0 if failures == 0 else 2
 

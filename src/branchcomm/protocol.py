@@ -28,6 +28,7 @@ disappear with them and the final state is then the last recorded one.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from types import MappingProxyType
 from typing import Mapping
@@ -86,7 +87,8 @@ class ProtocolConfig:
         if isinstance(self.n, bool) or not isinstance(self.n, int) or self.n < 1:
             raise ValueError(f"message width must be an int >= 1, got {self.n!r}")
         for name, amp in (("amp0", self.amp0), ("amp1", self.amp1)):
-            if isinstance(amp, complex) or not math.isfinite(amp):
+            real = isinstance(amp, numbers.Real) and not isinstance(amp, bool)
+            if not (real and math.isfinite(amp)):
                 raise ValueError(f"{name} must be a finite real, got {amp!r}")
             if amp < 0:
                 raise ValueError(f"{name} must be non-negative, got {amp}")

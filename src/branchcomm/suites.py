@@ -24,11 +24,18 @@ from .protocol import (
     checkpoint_reference_state,
     run_protocol,
 )
-from .statevec import GateKind, fidelity, gate_matrix, protocol_layout
+from .statevec import GateKind, fidelity
 
 SUITE_NAMES = ("theorem1", "corollary1", "lemma1", "corollary2")
 
 _SAMPLE_SEED = 20240917
+
+_EXHAUSTIVE_MAX_N = 3
+_SAMPLED_NS = (4, 5, 6, 7, 8)
+_SAMPLES_PER_N = 12
+_MU_INDEPENDENCE_MAX_N = 4
+_COROLLARY1_MAX_N = 3
+_RANDOM_DRAWS = 20
 
 
 def _all_messages(n: int, nonblank: bool = False) -> list[Message]:
@@ -36,81 +43,72 @@ def _all_messages(n: int, nonblank: bool = False) -> list[Message]:
     return [Message(format(v, f"0{n}b")) for v in range(start, 1 << n)]
 
 
-def _transfer_report(
-    exhaustive_max_n: int = 3,
-    sampled_ns: tuple[int, ...] = (4, 5, 6, 7, 8),
-    samples_per_n: int = 12,
-) -> ClaimReport:
-    failures: list[str] = []
-    checked_exhaustive = 0
-    for n in range(1, exhaustive_max_n + 1):
-        for message in _all_messages(n):
-            run = run_protocol(ProtocolConfig(n=n), message)
-            verdict = verify_transfer(run, message)
-            checked_exhaustive += 1
-            if not verdict.success:
-                failures.append(f"n={n} mu={message.bits}: {verdict.failure_reason}")
-
+def _transfer_report() -> ClaimReport:
+    exhaustive = [m for n in range(1, _EXHAUSTIVE_MAX_N + 1) for m in _all_messages(n)]
     rng = np.random.default_rng(_SAMPLE_SEED)
-    checked_sampled = 0
-    for n in sampled_ns:
-        for value in rng.integers(0, 1 << n, size=samples_per_n):
-            message = Message(format(int(value), f"0{n}b"))
-            verdict = verify_transfer(run_protocol(ProtocolConfig(n=n), message), message)
-            checked_sampled += 1
-            if not verdict.success:
-                failures.append(f"n={n} mu={message.bits}: {verdict.failure_reason}")
-
+    sampled = [
+        Message(format(int(value), f"0{n}b"))
+        for n in _SAMPLED_NS
+        for value in rng.integers(0, 1 << n, size=_SAMPLES_PER_N)
+    ]
+    failures: list[str] = []
+    for message in exhaustive + sampled:
+        run = run_protocol(ProtocolConfig(n=message.n), message)
+        verdict = verify_transfer(run, message)
+        if not verdict.success:
+            failures.append(
+                f"n={message.n} mu={message.bits}: {verdict.failure_reason}"
+            )
     return ClaimReport(
         claim=(
             "the transfer protocol delivers every message to the receiving "
             "branch with records and memory cleared"
         ),
         parameters={
-            "exhaustive_max_n": exhaustive_max_n,
-            "sampled_ns": list(sampled_ns),
-            "samples_per_n": samples_per_n,
+            "exhaustive_max_n": _EXHAUSTIVE_MAX_N,
+            "sampled_ns": list(_SAMPLED_NS),
+            "samples_per_n": _SAMPLES_PER_N,
         },
         measurements={
-            "checked_exhaustive": checked_exhaustive,
-            "checked_sampled": checked_sampled,
+            "checked_exhaustive": len(exhaustive),
+            "checked_sampled": len(sampled),
             "failures": failures,
         },
         passed=not failures,
     )
 
 
-def _mu_independence_report(max_n: int = 4) -> ClaimReport:
+def _mu_independence_report() -> ClaimReport:
     """Every circuit op except the encoder must be bit-for-bit identical
-    across all messages at a fixed width."""
+    across all messages at a fixed width.
+
+    Ops are compared with == to the blank-payload circuit's op at the same
+    index. gate_matrix is a pure function of (op, layout), so equal ops have
+    bitwise-equal matrices: this is at least as strict as comparing them,
+    which acceptance criterion 3 does as the independent dense oracle.
+    """
     compared = 0
     mismatches: list[str] = []
-    for n in range(1, max_n + 1):
-        layout = protocol_layout(n)
+    for n in range(1, _MU_INDEPENDENCE_MAX_N + 1):
         config = ProtocolConfig(n=n)
-        base = build_protocol_circuit(config)
-        base_matrices = {
-            i: gate_matrix(op, layout)
-            for i, op in enumerate(base.ops)
-            if op.kind is not GateKind.ENCODE_MU
-        }
+        base = build_protocol_circuit(config).ops
         for message in _all_messages(n):
-            circuit = build_protocol_circuit(config, message)
-            if len(circuit.ops) != len(base.ops):
+            ops = build_protocol_circuit(config, message).ops
+            if len(ops) != len(base):
                 mismatches.append(f"n={n} mu={message.bits}: op count changed")
                 continue
-            for i, op in enumerate(circuit.ops):
+            for i, (op, base_op) in enumerate(zip(ops, base)):
                 if op.kind is GateKind.ENCODE_MU:
                     continue
                 compared += 1
-                if not np.array_equal(gate_matrix(op, layout), base_matrices[i]):
+                if op != base_op:
                     mismatches.append(f"n={n} mu={message.bits} op={i}")
     return ClaimReport(
         claim=(
             "the global observer's operations are message-independent: every "
             "non-encoder gate matrix is bitwise identical across messages"
         ),
-        parameters={"max_n": max_n},
+        parameters={"max_n": _MU_INDEPENDENCE_MAX_N},
         measurements={"matrices_compared": compared, "mismatches": mismatches},
         passed=not mismatches,
     )
@@ -120,11 +118,11 @@ def theorem1_suite() -> list[ClaimReport]:
     return [_transfer_report(), _mu_independence_report()]
 
 
-def corollary1_suite(max_n: int = 3) -> list[ClaimReport]:
+def corollary1_suite() -> list[ClaimReport]:
     checked = 0
     min_fidelity = 1.0
     failures: list[str] = []
-    for n in range(1, max_n + 1):
+    for n in range(1, _COROLLARY1_MAX_N + 1):
         for message in _all_messages(n, nonblank=True):
             final, verdict = run_no_uncompute_variant(message)
             checked += 1
@@ -147,7 +145,7 @@ def corollary1_suite(max_n: int = 3) -> list[ClaimReport]:
                 "without the memory uncompute the receiver's memory still "
                 "reads the message, so the transfer predicate fails"
             ),
-            parameters={"max_n": max_n},
+            parameters={"max_n": _COROLLARY1_MAX_N},
             measurements={
                 "checked": checked,
                 "min_reference_fidelity": min_fidelity,
@@ -202,7 +200,7 @@ def lemma1_suite() -> list[ClaimReport]:
     return reports
 
 
-def corollary2_suite(random_draws: int = 20) -> list[ClaimReport]:
+def corollary2_suite() -> list[ClaimReport]:
     reports = [
         verify_amplitude_immutability(np.sqrt(1 / 3), np.sqrt(2 / 3), Message("1"))
     ]
@@ -210,7 +208,7 @@ def corollary2_suite(random_draws: int = 20) -> list[ClaimReport]:
     max_magnitude_delta = 0.0
     max_exchange_delta = 0.0
     failures = 0
-    for _ in range(random_draws):
+    for _ in range(_RANDOM_DRAWS):
         phi = rng.uniform(0.05, np.pi / 2 - 0.05)
         n = int(rng.integers(1, 4))
         value = int(rng.integers(1, 1 << n))
@@ -231,7 +229,7 @@ def corollary2_suite(random_draws: int = 20) -> list[ClaimReport]:
                 "randomized preparations: the swap exchanges branch weights "
                 "and never alters the paper component's magnitude"
             ),
-            parameters={"random_draws": random_draws, "seed": _SAMPLE_SEED},
+            parameters={"random_draws": _RANDOM_DRAWS, "seed": _SAMPLE_SEED},
             measurements={
                 "max_magnitude_delta": max_magnitude_delta,
                 "max_exchange_delta": max_exchange_delta,

@@ -4,7 +4,9 @@ import math
 import numpy as np
 import pytest
 
+from branchcomm import cli
 from branchcomm.cli import main
+from branchcomm.nogo import ClaimReport
 from branchcomm.protocol import Message, ProtocolConfig, run_protocol
 
 SQRT_HALF = math.sqrt(0.5)
@@ -148,6 +150,17 @@ def test_verify_single_suites_pass(capsys, suite):
     counted = out.strip().splitlines()[-1]
     claims = out.count("[PASS]")
     assert f"{claims}/{claims} claims verified" in counted
+    if suite == "theorem1":
+        assert out == THEOREM1_STDOUT
+
+
+THEOREM1_STDOUT = """\
+[PASS] the transfer protocol delivers every message to the receiving branch with \
+records and memory cleared (checked_exhaustive=14, checked_sampled=60)
+[PASS] the global observer's operations are message-independent: every non-encoder \
+gate matrix is bitwise identical across messages (matrices_compared=180)
+suite 'theorem1': 2/2 claims verified
+"""
 
 
 def test_verify_all_suites(capsys):
@@ -155,6 +168,27 @@ def test_verify_all_suites(capsys):
     assert code == 0
     assert out.count("[PASS]") == 12
     assert "suite 'all': 12/12 claims verified" in out
+
+
+def test_verify_fail_lists_failing_inputs(capsys, monkeypatch):
+    report = ClaimReport(
+        claim="ops are message-independent",
+        parameters={},
+        measurements={
+            "matrices_compared": 3,
+            "mismatches": ["n=1 mu=1 op=2"],
+            "failures": [],
+        },
+        passed=False,
+    )
+    monkeypatch.setattr(cli, "run_suite", lambda suite: [report])
+    code, out, _ = run_cli(capsys, "verify", "--suite", "theorem1")
+    assert code == 2
+    assert out == (
+        "[FAIL] ops are message-independent (matrices_compared=3)\n"
+        "  mismatches: n=1 mu=1 op=2\n"
+        "suite 'theorem1': 0/1 claims verified\n"
+    )
 
 
 def test_verify_unknown_suite_exits_1(capsys):

@@ -1,8 +1,10 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
+from branchcomm import suites
 from branchcomm.protocol import (
     Message,
     ProtocolConfig,
@@ -13,6 +15,7 @@ from branchcomm.protocol import (
 )
 from branchcomm.statevec import (
     GateKind,
+    GateOp,
     apply_circuit,
     fidelity,
     gate_matrix,
@@ -52,6 +55,9 @@ def test_config_validation():
         ProtocolConfig(amp0=0.5, amp1=0.5)  # 0.25 + 0.25 != 1
     with pytest.raises(ValueError):
         ProtocolConfig(amp0=float("nan"), amp1=1.0)
+    for amp0, amp1 in ((True, False), ("0.6", 0.8), (None, 1.0)):
+        with pytest.raises(ValueError, match="amp0"):
+            ProtocolConfig(amp0=amp0, amp1=amp1)
 
 
 # --- circuit structure ---------------------------------------------------------
@@ -283,6 +289,43 @@ def test_non_encoder_ops_identical_across_messages():
         assert len(matrices) == len(base_matrices)
         for got, expected in zip(matrices, base_matrices):
             assert np.array_equal(got, expected)
+
+
+def _record_cnot_on_q(circuit, message):
+    if not message.bits.endswith("1"):
+        return circuit.ops
+    layout = circuit.layout
+    ops = list(circuit.ops)
+    ops[2] = GateOp.cnot(layout.offset("Q"), layout.offset("R"))
+    return tuple(ops)
+
+
+def _extra_op_for_mu_1(circuit, message):
+    return circuit.ops + ((GateOp.x(0),) if message.bits == "1" else ())
+
+
+@pytest.mark.parametrize(
+    "tamper, expected",
+    [
+        (_record_cnot_on_q, "n=1 mu=1 op=2"),
+        (_extra_op_for_mu_1, "n=1 mu=1: op count changed"),
+    ],
+)
+def test_mu_independence_report_names_message_dependent_ops(
+    monkeypatch, tamper, expected
+):
+    build = suites.build_protocol_circuit
+
+    def tampered(config, message=None):
+        circuit = build(config, message)
+        if message is None:
+            return circuit
+        return dataclasses.replace(circuit, ops=tamper(circuit, message))
+
+    monkeypatch.setattr(suites, "build_protocol_circuit", tampered)
+    report = suites._mu_independence_report()
+    assert not report.passed
+    assert expected in report.measurements["mismatches"]
 
 
 def test_run_is_frozen_snapshot():
