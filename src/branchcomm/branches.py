@@ -10,11 +10,12 @@ probability distribution.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
 from .protocol import Message, ProtocolRun
-from .statevec import StateVector
+from .statevec import RegisterLayout, StateVector, dense_amplitudes, l2_norm
 
 # Amplitudes below this are numerical dust and are treated as zero.
 ZERO_TOL = 1e-12
@@ -27,48 +28,56 @@ class Branch:
     `amplitude` is the component's coefficient when it is a single basis
     vector, and its L2 weight otherwise. `local_state` maps every register
     to its bit-string and is present only for single-basis-vector
-    components. `component` keeps the raw projected vector (unnormalized,
-    full length) so decompositions can be re-summed and re-projected.
+    components. `entries` holds the component's nonzero amplitudes by basis
+    index; `component` is the same projection as a full-length dense array
+    (unnormalized, read-only), built on first access, so decompositions can
+    be re-summed and re-projected.
     """
 
     label: str
     amplitude: complex
     local_state: dict[str, str] | None
-    component: np.ndarray = field(compare=False, repr=False)
+    layout: RegisterLayout = field(compare=False, repr=False)
+    entries: dict[int, complex] = field(compare=False, repr=False)
+
+    @cached_property
+    def component(self) -> np.ndarray:
+        return dense_amplitudes(self.layout, self.entries)
+
+
+def _register_field(layout: RegisterLayout, register: str) -> tuple[int, int]:
+    """(shift, mask) that read a register's value out of a global index."""
+    width = layout.width(register)
+    return layout.total_qubits - layout.offset(register) - width, (1 << width) - 1
 
 
 def decompose_by_register(state: StateVector, register: str) -> list[Branch]:
     """Split a state into branches by the classical value of one register.
 
-    Branches with weight below ZERO_TOL are dropped. Labels are the
+    Branches with no amplitude above ZERO_TOL are dropped. Labels are the
     register's bit-strings, in ascending value order.
     """
     layout = state.layout
     width = layout.width(register)
-    shift = layout.total_qubits - layout.offset(register) - width
-    amps = state.amplitudes
-    idx = np.arange(amps.shape[0])
-    values = (idx >> shift) & ((1 << width) - 1)
+    shift, mask = _register_field(layout, register)
+    groups: dict[int, dict[int, complex]] = {}
+    for index, amp in state.nonzero_items():
+        groups.setdefault((index >> shift) & mask, {})[index] = amp
 
-    live = np.abs(amps) > ZERO_TOL
     branches: list[Branch] = []
-    for value in np.unique(values[live]):
-        mask = values == value
-        component = np.where(mask, amps, 0.0)
-        weight = float(np.linalg.norm(component))
-        if weight < ZERO_TOL:
+    for value in sorted(groups):
+        entries = groups[value]
+        live = [index for index, amp in entries.items() if abs(amp) > ZERO_TOL]
+        if not live:
             continue
-        support = np.flatnonzero(np.abs(component) > ZERO_TOL)
-        if support.shape[0] == 1:
-            k = int(support[0])
-            amplitude = complex(component[k])
-            local_state = layout.assignment_of(k)
+        if len(live) == 1:
+            amplitude = entries[live[0]]
+            local_state = layout.assignment_of(live[0])
         else:
-            amplitude = complex(weight)
+            amplitude = complex(l2_norm(entries.values()))
             local_state = None
-        component.setflags(write=False)
         branches.append(
-            Branch(format(int(value), f"0{width}b"), amplitude, local_state, component)
+            Branch(format(value, f"0{width}b"), amplitude, local_state, layout, entries)
         )
     return branches
 
@@ -79,10 +88,11 @@ def register_component_magnitude(state: StateVector, register: str, bits: str) -
     width = layout.width(register)
     if len(bits) != width:
         raise ValueError(f"register {register!r} expects {width} bits, got {len(bits)}")
-    shift = layout.total_qubits - layout.offset(register) - width
-    idx = np.arange(state.dim)
-    mask = ((idx >> shift) & ((1 << width) - 1)) == int(bits, 2)
-    return float(np.linalg.norm(state.amplitudes[mask]))
+    shift, mask = _register_field(layout, register)
+    value = int(bits, 2)
+    return l2_norm(
+        amp for index, amp in state.nonzero_items() if (index >> shift) & mask == value
+    )
 
 
 def branches_to_json(branches: list[Branch]) -> list[dict]:

@@ -17,6 +17,8 @@ import json
 import math
 import sys
 
+import numpy as np
+
 from .branches import decompose_by_register, verify_transfer
 from .protocol import (
     Message,
@@ -87,27 +89,43 @@ def _protocol_inputs(args: argparse.Namespace) -> tuple[ProtocolConfig, Message]
     return config, message
 
 
-def _amplitude_pairs(state: StateVector) -> list[list[float]]:
-    return [[a.real, a.imag] for a in state.amplitudes]
+def _pairs_json(state: StateVector, indent: str) -> str:
+    """The [re, im] pair list as json.dumps(..., indent=2) writes it when the
+    list opens at `indent`; one %r template per array keeps this in C."""
+    pad = "\n" + indent
+    item = f"{pad}  [{pad}    %r,{pad}    %r{pad}  ]"
+    values = state.amplitudes.view(np.float64).tolist()
+    return "[" + ",".join([item] * state.dim) % tuple(values) + pad + "]"
 
 
-def run_document(run: ProtocolRun, message: Message) -> dict:
-    """JSON checkpoint document: config, message, per-label amplitudes,
-    final amplitudes, all in ascending global-index order."""
-    return {
-        "config": {
-            "n": run.config.n,
-            "amp0": run.config.amp0,
-            "amp1": run.config.amp1,
-            "uncompute_memory": run.config.uncompute_memory,
-            "apply_branch_swap": run.config.apply_branch_swap,
+def run_document(run: ProtocolRun, message: Message) -> str:
+    """JSON checkpoint document text: config, message, per-label amplitudes,
+    final amplitudes, all in ascending global-index order.
+
+    Byte-identical to json.dumps(document, indent=2). Raises ValueError when
+    the states are too wide to be made dense (STATE_QUBIT_LIMIT).
+    """
+    head = json.dumps(
+        {
+            "config": {
+                "n": run.config.n,
+                "amp0": run.config.amp0,
+                "amp1": run.config.amp1,
+                "uncompute_memory": run.config.uncompute_memory,
+                "apply_branch_swap": run.config.apply_branch_swap,
+            },
+            "message": message.bits,
         },
-        "message": message.bits,
-        "checkpoints": {
-            label: _amplitude_pairs(state) for label, state in run.checkpoints.items()
-        },
-        "final": _amplitude_pairs(run.final),
-    }
+        indent=2,
+    )
+    checkpoints = ",".join(
+        f"\n    {json.dumps(label)}: {_pairs_json(state, '    ')}"
+        for label, state in run.checkpoints.items()
+    )
+    return (
+        f'{head[:-2]},\n  "checkpoints": {{{checkpoints}\n  }},\n'
+        f'  "final": {_pairs_json(run.final, "  ")}\n}}'
+    )
 
 
 def _emit(text: str, output_path: str | None) -> None:
@@ -130,7 +148,11 @@ def _circuit_summary(circuit: Circuit) -> str:
 def cmd_run(args: argparse.Namespace) -> int:
     config, message = _protocol_inputs(args)
     run = run_protocol(config, message)
-    _emit(json.dumps(run_document(run, message), indent=2), args.output)
+    try:
+        document = run_document(run, message)
+    except ValueError as exc:  # too wide to write out densely
+        raise _UsageError(str(exc)) from None
+    _emit(document, args.output)
 
     err = sys.stderr
     print(_circuit_summary(build_protocol_circuit(config, message)), file=err)

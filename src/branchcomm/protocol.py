@@ -40,7 +40,6 @@ from .statevec import (
     StateVector,
     apply_circuit,
     check_bits,
-    make_basis_state,
     protocol_layout,
     zero_state,
 )
@@ -167,9 +166,10 @@ def checkpoint_reference_state(
 ) -> StateVector:
     """Closed-form two-term state expected at a checkpoint.
 
-    Built directly from basis vectors, independent of any circuit evolution,
-    so simulated checkpoints can be validated against it. Defined for labels
-    eq2 through eq6 and eq8, when the configuration produces that label.
+    Held as its two basis indices and amplitudes, independent of any
+    circuit evolution, so simulated checkpoints can be validated against it.
+    Defined for labels eq2 through eq6 and eq8, when the configuration
+    produces that label.
     """
     if message.n != config.n:
         raise ValueError(f"message width {message.n} != configured width {config.n}")
@@ -206,8 +206,10 @@ def checkpoint_reference_state(
         term1 = {**base, "M": zeros if config.uncompute_memory else mu, "P": mu}
 
     layout = protocol_layout(n)
-    amps = (
-        config.amp0 * make_basis_state(layout, term0).amplitudes
-        + config.amp1 * make_basis_state(layout, term1).amplitudes
+    return StateVector(
+        layout,
+        support={
+            layout.index_for(term0): config.amp0,
+            layout.index_for(term1): config.amp1,
+        },
     )
-    return StateVector(layout, amps)

@@ -1,4 +1,4 @@
-"""Dense statevector engine over named qubit registers.
+"""Statevector engine over named qubit registers.
 
 Index convention: registers are concatenated in layout order to form the
 global basis index, most significant bit first, and within a register bit 0
@@ -7,20 +7,30 @@ to right exactly like the ket it denotes: for registers Q(1), R(1), F(1),
 the assignment {Q: "1", R: "1", F: "1"} is global index 0b111 = 7.
 
 States are immutable value objects; every operation returns a new state and
-never touches its input.
+never touches its input. A state is held in one of two forms, chosen by how
+it was made. make_basis_state, zero_state and the protocol's closed-form
+reference states hold their support: a dict from basis index to amplitude,
+which apply_gate and apply_circuit evolve in that form, so a circuit started
+from a basis state costs time and memory in its support size, not in 2^n.
+An amplitude array given by the caller is held dense and evolved by the
+array kernels. A support-held state builds its dense array on first access
+to `.amplitudes`, up to STATE_QUBIT_LIMIT qubits.
 
 Five gate kinds (X, MULTI_X, CNOT, ENCODE_MU, TRANSVERSAL_CNOT) only permute
 basis states. Each compiles to an ordered list of (control mask C, flip
 mask F) pairs, applied in turn; a pair flips the bits of F in every basis
 index whose C bits are all set, with bit masks taken over the global index.
-These pairs are the single description of those kinds: the vector kernel,
+These pairs are the single description of those kinds: both forms' kernels,
 gate_matrix and the QASM emitter all read them. H and RY mix the two values
-of one qubit and have their own kernel. The route that shares no code with
-this module is the Kronecker-product oracle in tests/helpers.py.
+of one qubit; both forms compute each (i, i|t) pair with the same
+expressions, so a support-held state and the same state held dense evolve
+to equal amplitudes. The route that shares no code with this module is the
+Kronecker-product oracle in tests/helpers.py.
 """
 
 from __future__ import annotations
 
+import cmath
 import enum
 import math
 from dataclasses import dataclass
@@ -34,6 +44,12 @@ SQRT_HALF = math.sqrt(0.5)
 # Dense operator construction is quadratic in the state dimension; past this
 # many qubits a single matrix no longer fits comfortably in memory.
 GATE_MATRIX_QUBIT_LIMIT = 12
+
+# Widest support-held state that may be made dense: 2^20 amplitudes, 16 MiB.
+# The widest protocol state densified in use is 19 qubits (n = 8); the next
+# protocol width, 21 qubits, would make the `run` document's text alone
+# several GiB.
+STATE_QUBIT_LIMIT = 20
 
 
 class GateKind(enum.Enum):
@@ -81,7 +97,7 @@ class RegisterLayout:
             pos += width
         return table
 
-    @property
+    @cached_property
     def total_qubits(self) -> int:
         return sum(width for _, width in self.registers)
 
@@ -151,50 +167,147 @@ def protocol_layout(n: int, friend_width: int = 1) -> RegisterLayout:
     )
 
 
-@dataclass(frozen=True)
-class StateVector:
-    """Immutable amplitude vector over a register layout."""
+# A state's data in either form: a read-only amplitude array or a support dict.
+_Held = np.ndarray | dict[int, complex]
 
-    layout: RegisterLayout
-    amplitudes: np.ndarray
+
+def l2_norm(amplitudes: Iterable[complex]) -> float:
+    """sqrt(sum re^2 + sum im^2), summed in the order given, as np.linalg.norm."""
+    values = list(amplitudes)
+    return math.sqrt(
+        sum(a.real * a.real for a in values) + sum(a.imag * a.imag for a in values)
+    )
+
+
+def dense_amplitudes(
+    layout: RegisterLayout, support: Mapping[int, complex]
+) -> np.ndarray:
+    """Read-only dense array holding `support` and zeros elsewhere.
+
+    Raises ValueError past STATE_QUBIT_LIMIT qubits, before allocating.
+    """
+    total = layout.total_qubits
+    if total > STATE_QUBIT_LIMIT:
+        raise ValueError(
+            f"a dense state of {total} qubits needs 2^{total} amplitudes "
+            f"(2^{total + 4} bytes); dense states are limited to "
+            f"{STATE_QUBIT_LIMIT} qubits"
+        )
+    amps = np.zeros(layout.dim, dtype=np.complex128)
+    if support:
+        amps[list(support)] = list(support.values())
+    amps.setflags(write=False)
+    return amps
+
+
+class StateVector:
+    """Immutable amplitude vector over a register layout.
+
+    Built from a dense amplitude array, `StateVector(layout, amplitudes)`, or
+    from its support, `StateVector(layout, support={index: amplitude})`,
+    with every index not listed holding zero. A support-held state makes
+    `.amplitudes` on first access (see STATE_QUBIT_LIMIT); nonzero_items()
+    reads either form without doing so. norm, == and fidelity work on the
+    nonzero items when a support-held state is involved and on whole arrays
+    when every state is dense, where a per-item loop would cost O(2^n) in
+    Python.
+    """
+
+    def __init__(
+        self,
+        layout: RegisterLayout,
+        amplitudes: np.ndarray | None = None,
+        *,
+        support: Mapping[int, complex] | None = None,
+    ) -> None:
+        if (amplitudes is None) == (support is None):
+            raise ValueError("give exactly one of amplitudes and support")
+        object.__setattr__(self, "layout", layout)
+        object.__setattr__(self, "_dense", amplitudes)
+        object.__setattr__(self, "_support", support)
+        self.__post_init__()
 
     def __post_init__(self) -> None:
-        arr = np.asarray(self.amplitudes, dtype=np.complex128)
+        """Validate and freeze the held form; runs on every construction."""
+        if self._support is not None:
+            dim = self.layout.dim
+            support = {}
+            for index, amp in self._support.items():
+                amp = complex(amp)
+                if not 0 <= index < dim:
+                    raise ValueError(f"basis index {index} out of range for dim {dim}")
+                if not cmath.isfinite(amp):
+                    raise ValueError("amplitudes must be finite")
+                support[int(index)] = amp
+            object.__setattr__(self, "_support", support)
+            return
+        arr = np.asarray(self._dense, dtype=np.complex128)
         if arr.ndim != 1 or arr.shape[0] != self.layout.dim:
             raise ValueError(
                 f"amplitude vector must have length {self.layout.dim}, got shape {arr.shape}"
             )
         if not np.all(np.isfinite(arr)):
             raise ValueError("amplitudes must be finite")
-        if arr is self.amplitudes and arr.flags.writeable:
+        if arr is self._dense and arr.flags.writeable:
             arr = arr.copy()
         if arr.flags.writeable:
             arr.setflags(write=False)
-        object.__setattr__(self, "amplitudes", arr)
+        object.__setattr__(self, "_dense", arr)
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"StateVector is immutable; cannot set {name!r}")
+
+    def __repr__(self) -> str:
+        held = self._support if self._support is not None else self._dense
+        form = "support" if self._support is not None else "amplitudes"
+        return f"StateVector(layout={self.layout!r}, {form}={held!r})"
+
+    @property
+    def amplitudes(self) -> np.ndarray:
+        """Read-only dense amplitude array, built on first access."""
+        if self._dense is None:
+            dense = dense_amplitudes(self.layout, self._support)
+            object.__setattr__(self, "_dense", dense)
+        return self._dense
+
+    def nonzero_items(self) -> list[tuple[int, complex]]:
+        """(basis index, amplitude) of every nonzero amplitude, ascending index."""
+        if self._support is not None:
+            return sorted((i, a) for i, a in self._support.items() if a)
+        idx = np.flatnonzero(self._dense)
+        return list(zip(idx.tolist(), self._dense[idx].tolist()))
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, StateVector):
             return NotImplemented
-        return self.layout == other.layout and np.array_equal(
-            self.amplitudes, other.amplitudes
-        )
+        if self.layout != other.layout:
+            return False
+        if self._support is None and other._support is None:
+            return np.array_equal(self._dense, other._dense)
+        return dict(self.nonzero_items()) == dict(other.nonzero_items())
 
     __hash__ = None  # type: ignore[assignment]
 
     @property
     def dim(self) -> int:
-        return self.amplitudes.shape[0]
+        return self.layout.dim
 
     def norm(self) -> float:
-        return float(np.linalg.norm(self.amplitudes))
+        if self._support is None:
+            return float(np.linalg.norm(self._dense))
+        return l2_norm(a for _, a in self.nonzero_items())
+
+
+def _state(layout: RegisterLayout, held: _Held) -> StateVector:
+    """Wrap a kernel's output, an amplitude array or a support dict."""
+    if isinstance(held, dict):
+        return StateVector(layout, support=held)
+    return StateVector(layout, held)
 
 
 def make_basis_state(layout: RegisterLayout, assignment: Mapping[str, str]) -> StateVector:
     """Computational basis state for a full classical register assignment."""
-    amps = np.zeros(layout.dim, dtype=np.complex128)
-    amps[layout.index_for(assignment)] = 1.0
-    amps.setflags(write=False)
-    return StateVector(layout, amps)
+    return StateVector(layout, support={layout.index_for(assignment): 1.0})
 
 
 def zero_state(layout: RegisterLayout) -> StateVector:
@@ -397,30 +510,76 @@ def _permute(
     return out.reshape(-1)
 
 
-def _apply_kernel(amps: np.ndarray, op: GateOp, total: int) -> np.ndarray:
-    kind = op.kind
-    if kind in (GateKind.H, GateKind.RY):
+def _permute_support(
+    support: dict[int, complex], pairs: tuple[tuple[int, int], ...]
+) -> dict[int, complex]:
+    """Move each amplitude to the index the pairs send its index to."""
+    out = {}
+    for index, amp in support.items():
+        for cmask, fmask in pairs:
+            if index & cmask == cmask:
+                index ^= fmask
+        out[index] = amp
+    return out
+
+
+def _mix(
+    op: GateOp, a0: np.ndarray, a1: np.ndarray, out0: np.ndarray, out1: np.ndarray
+) -> None:
+    """H or RY on the (target = 0, target = 1) amplitude pairs, elementwise.
+
+    Each output is written before the next is computed, so a dense kernel
+    holds one temporary at a time.
+    """
+    if op.kind is GateKind.H:
+        out0[...] = (a0 + a1) * SQRT_HALF
+        out1[...] = (a0 - a1) * SQRT_HALF
+    else:
+        c, s = math.cos(op.angle / 2.0), math.sin(op.angle / 2.0)
+        out0[...] = c * a0 - s * a1
+        out1[...] = s * a0 + c * a1
+
+
+def _apply_kernel(held: _Held, op: GateOp, total: int) -> _Held:
+    """One gate on either form: a read-only amplitude array or a support dict."""
+    mixing = op.kind in (GateKind.H, GateKind.RY)
+    if isinstance(held, dict):
+        if not mixing:
+            return _permute_support(held, flip_pairs(op, total))
+        # Every pair with a listed entry is computed through _mix, with an
+        # unlisted partner read as the 0j a dense array holds, and kept even
+        # when it comes out zero, so both forms end with identical values.
+        bit = 1 << (total - 1 - op.targets[0])
+        lows = list({index & ~bit for index in held})
+        highs = [index | bit for index in lows]
+        halves = np.array(
+            [[held.get(i, 0j) for i in lows], [held.get(i, 0j) for i in highs]],
+            dtype=np.complex128,
+        )
+        out = np.empty_like(halves)
+        _mix(op, halves[0], halves[1], out[0], out[1])
+        return dict(zip(lows + highs, out.reshape(-1).tolist()))
+    if mixing:
         t = op.targets[0]
-        pre, post = 1 << t, 1 << (total - 1 - t)
-        a = amps.reshape(pre, 2, post)
+        a = held.reshape(1 << t, 2, 1 << (total - 1 - t))
         out = np.empty_like(a)
-        if kind is GateKind.H:
-            out[:, 0, :] = (a[:, 0, :] + a[:, 1, :]) * SQRT_HALF
-            out[:, 1, :] = (a[:, 0, :] - a[:, 1, :]) * SQRT_HALF
-        else:
-            c, s = math.cos(op.angle / 2.0), math.sin(op.angle / 2.0)
-            out[:, 0, :] = c * a[:, 0, :] - s * a[:, 1, :]
-            out[:, 1, :] = s * a[:, 0, :] + c * a[:, 1, :]
-        return out.reshape(-1)
-    return _permute(amps, flip_pairs(op, total), total)
+        _mix(op, a[:, 0, :], a[:, 1, :], out[:, 0, :], out[:, 1, :])
+        out = out.reshape(-1)
+    else:
+        out = _permute(held, flip_pairs(op, total), total)
+    out.setflags(write=False)
+    return out
+
+
+def _held(state: StateVector) -> _Held:
+    return state._support if state._support is not None else state.amplitudes
 
 
 def apply_gate(state: StateVector, op: GateOp) -> StateVector:
     """Apply one gate; returns a new state, input untouched."""
     op.validate(state.layout)
-    out = _apply_kernel(state.amplitudes, op, state.layout.total_qubits)
-    out.setflags(write=False)
-    return StateVector(state.layout, out)
+    held = _apply_kernel(_held(state), op, state.layout.total_qubits)
+    return _state(state.layout, held)
 
 
 def apply_circuit(
@@ -429,7 +588,8 @@ def apply_circuit(
     """Run a circuit, returning the final state and checkpoint snapshots.
 
     Snapshots are keyed by checkpoint label, in execution order. An empty
-    circuit returns the input state unchanged and no snapshots.
+    circuit returns the input state unchanged and no snapshots. The state
+    keeps its form throughout.
     """
     if circuit.layout != state.layout:
         raise ValueError("circuit layout does not match state layout")
@@ -440,21 +600,26 @@ def apply_circuit(
         snap_at.setdefault(op_index, []).append(label)
 
     total = state.layout.total_qubits
-    amps = state.amplitudes
+    held = _held(state)
     snapshots: dict[str, StateVector] = {}
     for i, op in enumerate(circuit.ops):
-        amps = _apply_kernel(amps, op, total)
-        amps.setflags(write=False)
+        held = _apply_kernel(held, op, total)
         for label in snap_at.get(i, ()):
-            snapshots[label] = StateVector(state.layout, amps)
-    return StateVector(state.layout, amps), snapshots
+            snapshots[label] = _state(state.layout, held)
+    return _state(state.layout, held), snapshots
 
 
 def fidelity(a: StateVector, b: StateVector) -> float:
     """Squared overlap |<a|b>|^2."""
     if a.layout != b.layout:
         raise ValueError("states live on different layouts")
-    return float(abs(np.vdot(a.amplitudes, b.amplitudes)) ** 2)
+    if a._support is None and b._support is None:
+        return float(abs(np.vdot(a._dense, b._dense)) ** 2)
+    theirs = dict(b.nonzero_items())
+    overlap = sum(
+        (amp.conjugate() * theirs[i] for i, amp in a.nonzero_items() if i in theirs), 0j
+    )
+    return float(abs(overlap) ** 2)
 
 
 def gate_matrix(op: GateOp, layout: RegisterLayout) -> np.ndarray:

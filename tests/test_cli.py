@@ -7,7 +7,13 @@ import pytest
 from branchcomm import cli
 from branchcomm.cli import main
 from branchcomm.nogo import ClaimReport
-from branchcomm.protocol import Message, ProtocolConfig, run_protocol
+from branchcomm.protocol import (
+    Message,
+    ProtocolConfig,
+    ProtocolRun,
+    run_protocol,
+)
+from branchcomm.statevec import StateVector
 
 SQRT_HALF = math.sqrt(0.5)
 
@@ -58,6 +64,34 @@ def test_run_document_round_trips_amplitudes(capsys):
         ) <= 1e-15
 
 
+def test_run_document_is_the_json_dumps_text():
+    rng = np.random.default_rng(7)
+    config = ProtocolConfig(n=1, amp0=0.6, amp1=0.8, apply_branch_swap=False)
+    run = run_protocol(config, Message("1"))
+    layout = run.final.layout
+    amps = rng.normal(size=layout.dim) + 1j * rng.normal(size=layout.dim)
+    amps[:4] = [-0.0, complex(-0.0, -0.0), 1e-300j, -1 / 3]
+    checkpoints = {**run.checkpoints, "eq1": StateVector(layout, amps)}
+    odd = ProtocolRun(config, checkpoints, run.final)
+
+    def pairs(state):
+        return [[a.real, a.imag] for a in state.amplitudes.tolist()]
+
+    expected = {
+        "config": {
+            "n": 1,
+            "amp0": 0.6,
+            "amp1": 0.8,
+            "uncompute_memory": True,
+            "apply_branch_swap": False,
+        },
+        "message": "1",
+        "checkpoints": {label: pairs(state) for label, state in checkpoints.items()},
+        "final": pairs(odd.final),
+    }
+    assert cli.run_document(odd, Message("1")) == json.dumps(expected, indent=2)
+
+
 def test_run_writes_output_file(capsys, tmp_path):
     path = tmp_path / "run.json"
     code, out, err = run_cli(
@@ -80,6 +114,17 @@ def test_run_usage_errors_exit_1(capsys):
         code, _, err = run_cli(capsys, *argv)
         assert code == 1, argv
         assert "error" in err
+
+
+def test_run_past_the_dense_limit_exits_1(capsys, tmp_path):
+    path = tmp_path / "run.json"
+    for output in ([], ["-o", str(path)]):
+        code, out, err = run_cli(capsys, "run", "--message", "1" * 14, *output)
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: a dense state of 31 qubits needs 2^31 amplitudes")
+        assert len(err.splitlines()) == 1
+    assert not path.exists()
 
 
 def test_run_branch_table_on_stderr(capsys):

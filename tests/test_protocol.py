@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from branchcomm import suites
+from branchcomm.branches import verify_transfer
 from branchcomm.protocol import (
     Message,
     ProtocolConfig,
@@ -16,6 +17,7 @@ from branchcomm.protocol import (
 from branchcomm.statevec import (
     GateKind,
     GateOp,
+    StateVector,
     apply_circuit,
     fidelity,
     gate_matrix,
@@ -333,3 +335,39 @@ def test_run_is_frozen_snapshot():
     assert isinstance(run, ProtocolRun)
     with pytest.raises(TypeError):
         run.checkpoints["extra"] = run.final
+
+
+@pytest.mark.parametrize(
+    "flags",
+    [
+        {},
+        {"uncompute_memory": False},
+        {"apply_branch_swap": False},
+        {"amp0": 0.6, "amp1": 0.8},
+    ],
+)
+def test_support_route_matches_dense_route_bitwise(flags):
+    for n in range(1, 6):
+        config = ProtocolConfig(n=n, **flags)
+        for message in all_messages(n):
+            run = run_protocol(config, message)
+            circuit = build_protocol_circuit(config, message)
+            layout = circuit.layout
+            dense_zero = StateVector(layout, zero_state(layout).amplitudes.copy())
+            final, snapshots = apply_circuit(dense_zero, circuit)
+            assert list(snapshots) == list(run.checkpoints)
+            for label, state in snapshots.items():
+                held = run.checkpoints[label]
+                assert held.amplitudes.tobytes() == state.amplitudes.tobytes()
+            assert run.final.amplitudes.tobytes() == final.amplitudes.tobytes()
+
+
+@pytest.mark.parametrize("n", [64, 200])
+def test_wide_messages_transfer_without_dense_vectors(n):
+    message = Message(("1101" * 50)[:n])
+    run = run_protocol(ProtocolConfig(n=n), message)
+    verdict = verify_transfer(run, message)
+    assert verdict.success
+    assert verdict.receiver_paper == message.bits
+    with pytest.raises(ValueError, match=f"{2 * n + 3} qubits"):
+        run.final.amplitudes

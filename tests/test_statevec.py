@@ -1,10 +1,13 @@
+import copy
 import math
+import pickle
 
 import numpy as np
 import pytest
 
 from branchcomm.statevec import (
     GATE_MATRIX_QUBIT_LIMIT,
+    STATE_QUBIT_LIMIT,
     Circuit,
     GateKind,
     GateOp,
@@ -360,3 +363,56 @@ def test_fidelity_examples():
     assert fidelity(plus, zero) == fidelity(zero, plus)
     with pytest.raises(ValueError):
         fidelity(zero, zero_state(QRF))
+
+
+# --- support-held and dense forms -------------------------------------------
+
+
+def test_support_and_dense_routes_agree_on_random_circuits():
+    rng = np.random.default_rng(20261018)
+    for total in (1, 2, 3, 4):
+        layout = RegisterLayout((("q", total),))
+        for _ in range(50):
+            bits = format(int(rng.integers(layout.dim)), f"0{total}b")
+            held = make_basis_state(layout, {"q": bits})
+            dense = StateVector(layout, held.amplitudes.copy())
+            circuit = random_circuit(rng, layout, max_gates=6)
+            via_support, _ = apply_circuit(held, circuit)
+            via_dense, _ = apply_circuit(dense, circuit)
+            # white-box: each route kept its own form
+            assert via_support._support is not None and via_dense._support is None
+            assert np.array_equal(via_support.amplitudes, via_dense.amplitudes)
+            expected = oracle_apply(dense.amplitudes, circuit.ops, total)
+            assert np.max(np.abs(via_support.amplitudes - expected)) <= 1e-12
+
+            stepped = held
+            for op in circuit.ops:
+                stepped = apply_gate(stepped, op)
+            assert stepped == via_support == via_dense
+            assert abs(via_support.norm() - via_dense.norm()) <= 1e-12
+            assert abs(fidelity(via_support, held) - fidelity(via_dense, dense)) <= 1e-12
+            assert abs(fidelity(via_support, dense) - fidelity(via_dense, held)) <= 1e-12
+
+
+def test_support_form_validation_and_dense_limit():
+    with pytest.raises(ValueError):
+        StateVector(QRF)
+    with pytest.raises(ValueError):
+        StateVector(QRF, np.zeros(8), support={0: 1.0})
+    with pytest.raises(ValueError):
+        StateVector(QRF, support={8: 1.0})
+    with pytest.raises(ValueError):
+        StateVector(QRF, support={0: complex("nan")})
+    state = StateVector(QRF, support={7: 0.6, 1: 0.8j, 3: 0.0})
+    assert state.nonzero_items() == [(1, 0.8j), (7, 0.6 + 0j)]
+    assert state.amplitudes.tolist() == [0, 0.8j, 0, 0, 0, 0, 0, 0.6]
+    with pytest.raises(AttributeError):
+        state.layout = QRF
+    for copied in (copy.deepcopy(state), pickle.loads(pickle.dumps(state))):
+        assert copied == state and copied.nonzero_items() == state.nonzero_items()
+
+    wide = RegisterLayout((("q", STATE_QUBIT_LIMIT + 1),))
+    held = apply_gate(zero_state(wide), GateOp.h(0))
+    assert abs(held.norm() - 1.0) <= 1e-12
+    with pytest.raises(ValueError, match=f"{STATE_QUBIT_LIMIT + 1} qubits"):
+        held.amplitudes
