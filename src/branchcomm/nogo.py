@@ -9,7 +9,9 @@ Three obstructions are implemented and measured here.
 
 * Any unitary that swaps a blank memory with a written one must depend on
   the message it preserves: construct_G builds the canonical such swap for
-  a fixed message, and witness_mu_dependence measures the pairwise distance
+  a fixed message, the identity with rows 0 and int(mu) swapped (dense, so
+  limited to GATE_MATRIX_QUBIT_LIMIT message bits), and
+  witness_mu_dependence measures the pairwise distance
   ||G(mu1)|0> - G(mu2)|0>|| = sqrt(2) over all distinct message pairs,
   certifying no single message-independent G exists.
 
@@ -31,7 +33,7 @@ from .branches import (
     verify_transfer,
 )
 from .protocol import AMP_TOL, Message, ProtocolConfig, run_protocol
-from .statevec import StateVector
+from .statevec import GATE_MATRIX_QUBIT_LIMIT, StateVector
 
 WITNESS_N_LIMIT = 6
 
@@ -63,43 +65,27 @@ class MemoryPreservingSwapG:
     matrix: np.ndarray = field(compare=False, repr=False)
 
 
-def _orthonormal_completion(span: list[np.ndarray], dim: int) -> list[np.ndarray]:
-    """Extend an orthonormal list to a basis, Gram-Schmidt over the
-    canonical basis in index order, skipping dependent vectors."""
-    basis = list(span)
-    completion: list[np.ndarray] = []
-    for k in range(dim):
-        v = np.zeros(dim, dtype=np.complex128)
-        v[k] = 1.0
-        for b in basis:
-            v = v - np.vdot(b, v) * b
-        norm = np.linalg.norm(v)
-        if norm < 1e-6:
-            continue
-        v = v / norm
-        basis.append(v)
-        completion.append(v)
-    return completion
-
-
 def construct_G(mu: Message) -> MemoryPreservingSwapG:
-    """Canonical memory swap G(mu) = |mu><0| + |0><mu| + sum_j |e_j><e_j|.
+    """Canonical memory swap G(mu) = |mu><0| + |0><mu| + sum_j |j><j|.
 
-    The e_j complete {|0...0>, |mu>} to an orthonormal basis over the
-    2^n-dimensional memory space. Blank messages are rejected: swapping the
-    blank state with itself is vacuous and leaves the lemma nothing to say.
+    The sum runs over j not in {0, k}, k = int(mu), so G is the
+    2^n-dimensional identity with rows 0 and k swapped. The matrix is dense
+    and read-only; messages wider than GATE_MATRIX_QUBIT_LIMIT bits are
+    rejected before anything is allocated. Blank messages are rejected:
+    swapping the blank state with itself is vacuous and leaves the lemma
+    nothing to say.
     """
     if mu.blank:
         raise ValueError("memory swap is only defined for nonblank messages")
+    if mu.n > GATE_MATRIX_QUBIT_LIMIT:
+        raise ValueError(
+            f"construct_G is dense and limited to {GATE_MATRIX_QUBIT_LIMIT} "
+            f"message bits; message has {mu.n}"
+        )
     dim = 1 << mu.n
-    zero = np.zeros(dim, dtype=np.complex128)
-    zero[0] = 1.0
-    target = np.zeros(dim, dtype=np.complex128)
-    target[int(mu.bits, 2)] = 1.0
-
-    matrix = np.outer(target, zero.conj()) + np.outer(zero, target.conj())
-    for e in _orthonormal_completion([zero, target], dim):
-        matrix += np.outer(e, e.conj())
+    k = int(mu.bits, 2)
+    matrix = np.eye(dim, dtype=np.complex128)
+    matrix[[0, k]] = matrix[[k, 0]]
     matrix.setflags(write=False)
     return MemoryPreservingSwapG(mu, dim, matrix)
 

@@ -78,8 +78,12 @@ def parse_qasm(text: str) -> tuple[int, list[GateOp]]:
             continue
         m = _QREG_RE.match(line)
         if m:
+            if total is not None:
+                raise ValueError(f"qasm text declares a second qreg: {raw!r}")
             total = int(m.group(1))
             continue
+        if total is None:
+            raise ValueError(f"qasm line before the qreg declaration: {raw!r}")
         m = _ONE_Q_RE.match(line)
         if m:
             target = int(m.group(2))

@@ -117,3 +117,31 @@ def random_circuit(
         else:
             ops.append(GateOp.h(qubits[0]))
     return Circuit(layout, tuple(ops))
+
+
+def gram_schmidt_G(bits: str) -> np.ndarray:
+    """Memory swap |mu><0| + |0><mu| + sum_j |e_j><e_j|, by construction.
+
+    The e_j complete {|0...0>, |mu>} to an orthonormal basis by Gram-Schmidt
+    over the canonical basis in index order, skipping dependent vectors.
+    """
+    dim = 1 << len(bits)
+    zero = np.zeros(dim, dtype=np.complex128)
+    zero[0] = 1.0
+    target = np.zeros(dim, dtype=np.complex128)
+    target[int(bits, 2)] = 1.0
+
+    matrix = np.outer(target, zero.conj()) + np.outer(zero, target.conj())
+    basis = [zero, target]
+    for k in range(dim):
+        v = np.zeros(dim, dtype=np.complex128)
+        v[k] = 1.0
+        for b in basis:
+            v = v - np.vdot(b, v) * b
+        norm = np.linalg.norm(v)
+        if norm < 1e-6:
+            continue
+        v = v / norm
+        basis.append(v)
+        matrix += np.outer(v, v.conj())
+    return matrix

@@ -4,9 +4,9 @@ import math
 import numpy as np
 import pytest
 
-from branchcomm import cli
+from branchcomm import cli, suites
 from branchcomm.cli import main
-from branchcomm.nogo import ClaimReport
+from branchcomm.nogo import ClaimReport, MemoryPreservingSwapG
 from branchcomm.protocol import (
     Message,
     ProtocolConfig,
@@ -197,6 +197,8 @@ def test_verify_single_suites_pass(capsys, suite):
     assert f"{claims}/{claims} claims verified" in counted
     if suite == "theorem1":
         assert out == THEOREM1_STDOUT
+    elif suite == "lemma1":
+        assert out == LEMMA1_STDOUT
 
 
 THEOREM1_STDOUT = """\
@@ -206,6 +208,49 @@ records and memory cleared (checked_exhaustive=14, checked_sampled=60)
 gate matrix is bitwise identical across messages (matrices_compared=180)
 suite 'theorem1': 2/2 claims verified
 """
+
+LEMMA1_STDOUT = """\
+[PASS] memory-preserving swaps are message-dependent: distinct messages force \
+distinct swap unitaries (messages=3, pairs=3, max_unitarity_deviation=0.000e+00, \
+max_distance_deviation_from_sqrt2=0.000e+00, min_pairwise_distance=1.414e+00)
+[PASS] memory-preserving swaps are message-dependent: distinct messages force \
+distinct swap unitaries (messages=7, pairs=21, max_unitarity_deviation=0.000e+00, \
+max_distance_deviation_from_sqrt2=0.000e+00, min_pairwise_distance=1.414e+00)
+[PASS] each memory swap is unitary, self-inverse, and exchanges the blank memory \
+with its message while fixing everything else (max_unitarity_deviation=0.000e+00, \
+max_self_inverse_deviation=0.000e+00, max_action_deviation=0.000e+00)
+[PASS] each memory swap is unitary, self-inverse, and exchanges the blank memory \
+with its message while fixing everything else (max_unitarity_deviation=0.000e+00, \
+max_self_inverse_deviation=0.000e+00, max_action_deviation=0.000e+00)
+[PASS] each memory swap is unitary, self-inverse, and exchanges the blank memory \
+with its message while fixing everything else (max_unitarity_deviation=0.000e+00, \
+max_self_inverse_deviation=0.000e+00, max_action_deviation=0.000e+00)
+[PASS] each memory swap is unitary, self-inverse, and exchanges the blank memory \
+with its message while fixing everything else (max_unitarity_deviation=0.000e+00, \
+max_self_inverse_deviation=0.000e+00, max_action_deviation=0.000e+00)
+[PASS] each memory swap is unitary, self-inverse, and exchanges the blank memory \
+with its message while fixing everything else (max_unitarity_deviation=0.000e+00, \
+max_self_inverse_deviation=0.000e+00, max_action_deviation=0.000e+00)
+suite 'lemma1': 7/7 claims verified
+"""
+
+
+def test_verify_lemma1_fails_on_a_wrong_memory_swap(capsys, monkeypatch):
+    def wrong_swap(mu):
+        dim = 1 << mu.n
+        k = int(mu.bits, 2) ^ 1
+        matrix = np.eye(dim, dtype=np.complex128)
+        matrix[[0, k]] = matrix[[k, 0]]
+        return MemoryPreservingSwapG(mu, dim, matrix)
+
+    monkeypatch.setattr(suites, "construct_G", wrong_swap)
+    code, out, _ = run_cli(capsys, "verify", "--suite", "lemma1")
+    assert code == 2
+    lines = out.splitlines()
+    fails = [line for line in lines if line.startswith("[FAIL]")]
+    assert len(fails) == 5
+    assert all("max_action_deviation=1.000e+00" in line for line in fails)
+    assert lines[-1] == "suite 'lemma1': 2/7 claims verified"
 
 
 def test_verify_all_suites(capsys):

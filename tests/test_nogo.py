@@ -12,9 +12,9 @@ from branchcomm.nogo import (
     witness_mu_dependence,
 )
 from branchcomm.protocol import Message, ProtocolConfig, build_protocol_circuit
-from branchcomm.statevec import protocol_layout, zero_state
+from branchcomm.statevec import GATE_MATRIX_QUBIT_LIMIT, protocol_layout, zero_state
 
-from helpers import oracle_apply
+from helpers import gram_schmidt_G, oracle_apply
 
 SQRT_HALF = math.sqrt(0.5)
 
@@ -95,6 +95,28 @@ def test_construct_G_rejects_blank():
     for blank in ("0", "00", "000"):
         with pytest.raises(ValueError):
             construct_G(Message(blank))
+
+
+def test_construct_G_matches_gram_schmidt_oracle_bitwise():
+    checked = 0
+    for n in range(1, 7):
+        for value in range(1, 1 << n):
+            bits = format(value, f"0{n}b")
+            g = construct_G(Message(bits)).matrix
+            oracle = gram_schmidt_G(bits)
+            assert g.dtype == oracle.dtype and g.shape == oracle.shape
+            assert g.tobytes() == oracle.tobytes(), bits
+            assert not g.flags.writeable
+            checked += 1
+    assert checked == 120
+
+
+def test_construct_G_rejects_messages_past_the_dense_limit():
+    width = GATE_MATRIX_QUBIT_LIMIT + 1
+    with pytest.raises(
+        ValueError, match=f"limited to {GATE_MATRIX_QUBIT_LIMIT} .* has {width}"
+    ):
+        construct_G(Message("1" * width))
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])

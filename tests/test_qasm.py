@@ -127,6 +127,16 @@ def test_parse_qasm_rejects_unknown_lines():
         parse_qasm("h q[0];\n")  # no qreg declared
 
 
+def test_parse_qasm_rejects_a_gate_before_qreg():
+    with pytest.raises(ValueError, match="before the qreg"):
+        parse_qasm("h q[0];\nqreg q[2];\ncx q[0], q[1];\n")
+
+
+def test_parse_qasm_rejects_a_second_qreg():
+    with pytest.raises(ValueError, match="second qreg"):
+        parse_qasm("qreg q[1];\nqreg q[3];\nx q[2];\n")
+
+
 def test_rotation_gates_are_outside_the_dialect():
     circuit = build_protocol_circuit(
         ProtocolConfig(n=1, amp0=math.sqrt(1 / 3), amp1=math.sqrt(2 / 3)),
