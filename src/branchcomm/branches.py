@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
+from typing import Sequence
 
 import numpy as np
 
@@ -28,27 +29,72 @@ class Branch:
     `amplitude` is the component's coefficient when it is a single basis
     vector, and its L2 weight otherwise. `local_state` maps every register
     to its bit-string and is present only for single-basis-vector
-    components. `entries` holds the component's nonzero amplitudes by basis
-    index; `component` is the same projection as a full-length dense array
-    (unnormalized, read-only), built on first access, so decompositions can
-    be re-summed and re-projected.
+    components. `indices` and `values` hold the component's nonzero
+    amplitudes in ascending index order (lists from a support-held state,
+    arrays from a dense-held one); `component` is the same projection as a
+    full-length dense array (unnormalized, read-only), built on first
+    access, so decompositions can be re-summed and re-projected.
     """
 
     label: str
     amplitude: complex
     local_state: dict[str, str] | None
     layout: RegisterLayout = field(compare=False, repr=False)
-    entries: dict[int, complex] = field(compare=False, repr=False)
+    indices: Sequence[int] = field(compare=False, repr=False)
+    values: Sequence[complex] = field(compare=False, repr=False)
 
     @cached_property
     def component(self) -> np.ndarray:
-        return dense_amplitudes(self.layout, self.entries)
+        return dense_amplitudes(self.layout, self.indices, self.values)
 
 
 def _register_field(layout: RegisterLayout, register: str) -> tuple[int, int]:
     """(shift, mask) that read a register's value out of a global index."""
     width = layout.width(register)
     return layout.total_qubits - layout.offset(register) - width, (1 << width) - 1
+
+
+def _register_blocks(state: StateVector, register: str) -> np.ndarray:
+    """A dense-held state's array viewed as (higher bits, register value,
+    lower bits), so [:, value, :] is the component where the register reads
+    `value`, in ascending index order."""
+    shift, mask = _register_field(state.layout, register)
+    return state.amplitudes.reshape(-1, mask + 1, 1 << shift)
+
+
+def _groups(
+    state: StateVector, register: str
+) -> list[tuple[int, Sequence[int], Sequence[complex], Sequence[int]]]:
+    """(register value, indices, amplitudes, live) per register value that
+    holds a nonzero entry, values ascending.
+
+    `indices` and `amplitudes` list the group's nonzero entries in ascending
+    index order; `live` gives the positions in them of the amplitudes above
+    ZERO_TOL. A support-held state is grouped entry by entry; a dense-held
+    state is split by _register_blocks, with no per-entry Python loop.
+    """
+    shift, mask = _register_field(state.layout, register)
+    if not state.dense_held:
+        groups: dict[int, tuple[list[int], list[complex]]] = {}
+        for index, amp in state.nonzero_items():
+            indices, amps = groups.setdefault((index >> shift) & mask, ([], []))
+            indices.append(index)
+            amps.append(amp)
+        return [
+            (value, indices, amps, [k for k, a in enumerate(amps) if abs(a) > ZERO_TOL])
+            for value, (indices, amps) in sorted(groups.items())
+        ]
+    blocks = _register_blocks(state, register)
+    high = shift + mask.bit_length()
+    low_mask = (1 << shift) - 1
+    out = []
+    for value in np.flatnonzero(blocks.any(axis=(0, 2))).tolist():
+        block = blocks[:, value, :].reshape(-1)
+        pos = np.flatnonzero(block)
+        indices = ((pos >> shift) << high) | (value << shift) | (pos & low_mask)
+        amps = block[pos]
+        out.append((value, indices, amps, np.flatnonzero(np.abs(amps) > ZERO_TOL)))
+    return out
 
 
 def decompose_by_register(state: StateVector, register: str) -> list[Branch]:
@@ -59,25 +105,20 @@ def decompose_by_register(state: StateVector, register: str) -> list[Branch]:
     """
     layout = state.layout
     width = layout.width(register)
-    shift, mask = _register_field(layout, register)
-    groups: dict[int, dict[int, complex]] = {}
-    for index, amp in state.nonzero_items():
-        groups.setdefault((index >> shift) & mask, {})[index] = amp
-
     branches: list[Branch] = []
-    for value in sorted(groups):
-        entries = groups[value]
-        live = [index for index, amp in entries.items() if abs(amp) > ZERO_TOL]
-        if not live:
+    for value, indices, amps, live in _groups(state, register):
+        if not len(live):
             continue
         if len(live) == 1:
-            amplitude = entries[live[0]]
-            local_state = layout.assignment_of(live[0])
+            amplitude = complex(amps[live[0]])
+            local_state = layout.assignment_of(int(indices[live[0]]))
         else:
-            amplitude = complex(l2_norm(entries.values()))
+            amplitude = complex(l2_norm(amps))
             local_state = None
         branches.append(
-            Branch(format(value, f"0{width}b"), amplitude, local_state, layout, entries)
+            Branch(
+                format(value, f"0{width}b"), amplitude, local_state, layout, indices, amps
+            )
         )
     return branches
 
@@ -88,8 +129,12 @@ def register_component_magnitude(state: StateVector, register: str, bits: str) -
     width = layout.width(register)
     if len(bits) != width:
         raise ValueError(f"register {register!r} expects {width} bits, got {len(bits)}")
-    shift, mask = _register_field(layout, register)
     value = int(bits, 2)
+    if state.dense_held:
+        # The zeros in the block add +0.0 to each running sum, which leaves
+        # it unchanged, so this equals the sum over the nonzero entries.
+        return l2_norm(_register_blocks(state, register)[:, value, :].reshape(-1))
+    shift, mask = _register_field(layout, register)
     return l2_norm(
         amp for index, amp in state.nonzero_items() if (index >> shift) & mask == value
     )

@@ -13,11 +13,10 @@ requested output file; diagnostics go to stderr.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
-
-import numpy as np
 
 from .branches import decompose_by_register, verify_transfer
 from .protocol import (
@@ -28,7 +27,7 @@ from .protocol import (
     run_protocol,
 )
 from .qasm import to_qasm
-from .statevec import SQRT_HALF, Circuit, GateKind, StateVector
+from .statevec import SQRT_HALF, Circuit, GateKind, StateVector, check_dense_limit
 from .suites import SUITE_NAMES, run_suite
 from .swapsynth import FriendSnapshot, synthesize_swap
 
@@ -91,20 +90,32 @@ def _protocol_inputs(args: argparse.Namespace) -> tuple[ProtocolConfig, Message]
 
 def _pairs_json(state: StateVector, indent: str) -> str:
     """The [re, im] pair list as json.dumps(..., indent=2) writes it when the
-    list opens at `indent`; one %r template per array keeps this in C."""
+    list opens at `indent`.
+
+    Only the state's listed entries (StateVector.listed_items) go through the
+    %r item template; every other entry is +0.0 in both parts and shares one
+    constant item string. The text costs one list of dim references and one
+    join, both in C, plus one %r per listed entry, and never makes a
+    support-held state dense.
+    """
     pad = "\n" + indent
     item = f"{pad}  [{pad}    %r,{pad}    %r{pad}  ]"
-    values = state.amplitudes.view(np.float64).tolist()
-    return "[" + ",".join([item] * state.dim) % tuple(values) + pad + "]"
+    items = [item % (0.0, 0.0)] * state.dim
+    for index, amp in state.listed_items():
+        items[index] = item % (amp.real, amp.imag)
+    return "[" + ",".join(items) + pad + "]"
 
 
 def run_document(run: ProtocolRun, message: Message) -> str:
     """JSON checkpoint document text: config, message, per-label amplitudes,
     final amplitudes, all in ascending global-index order.
 
-    Byte-identical to json.dumps(document, indent=2). Raises ValueError when
-    the states are too wide to be made dense (STATE_QUBIT_LIMIT).
+    Byte-identical to json.dumps(document, indent=2), at the cost of O(dim)
+    C-level joins plus one %r per listed entry (see _pairs_json). Raises
+    ValueError, before any text is built, when the states are wider than a
+    dense state may be (STATE_QUBIT_LIMIT).
     """
+    check_dense_limit(run.final.layout)
     head = json.dumps(
         {
             "config": {
@@ -277,7 +288,9 @@ def _add_protocol_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("-o", "--output", default=None, help="write data to this file")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI's parser, built once; parse_args returns a fresh Namespace per call."""
     parser = _Parser(
         prog="branchcomm",
         description="simulate and verify message transfer between branches",

@@ -35,7 +35,7 @@ import enum
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -171,21 +171,23 @@ def protocol_layout(n: int, friend_width: int = 1) -> RegisterLayout:
 _Held = np.ndarray | dict[int, complex]
 
 
-def l2_norm(amplitudes: Iterable[complex]) -> float:
-    """sqrt(sum re^2 + sum im^2), summed in the order given, as np.linalg.norm."""
-    values = list(amplitudes)
-    return math.sqrt(
-        sum(a.real * a.real for a in values) + sum(a.imag * a.imag for a in values)
-    )
+def l2_norm(amplitudes: Iterable[complex] | np.ndarray) -> float:
+    """sqrt(sum re^2 + sum im^2), each sum taken left to right.
 
-
-def dense_amplitudes(
-    layout: RegisterLayout, support: Mapping[int, complex]
-) -> np.ndarray:
-    """Read-only dense array holding `support` and zeros elsewhere.
-
-    Raises ValueError past STATE_QUBIT_LIMIT qubits, before allocating.
+    The running sums (np.cumsum) add in the order given, as Python's float
+    sum does through 3.11, so the same values in the same order give the
+    same bits whether they come as a list, a generator or an array.
     """
+    if not isinstance(amplitudes, np.ndarray):
+        amplitudes = np.fromiter(amplitudes, dtype=np.complex128)
+    if not amplitudes.size:
+        return 0.0
+    re, im = amplitudes.real, amplitudes.imag
+    return math.sqrt(np.cumsum(re * re)[-1] + np.cumsum(im * im)[-1])
+
+
+def check_dense_limit(layout: RegisterLayout) -> None:
+    """Raise ValueError if a dense array over `layout` is past STATE_QUBIT_LIMIT."""
     total = layout.total_qubits
     if total > STATE_QUBIT_LIMIT:
         raise ValueError(
@@ -193,9 +195,21 @@ def dense_amplitudes(
             f"(2^{total + 4} bytes); dense states are limited to "
             f"{STATE_QUBIT_LIMIT} qubits"
         )
+
+
+def dense_amplitudes(
+    layout: RegisterLayout,
+    indices: Sequence[int] | np.ndarray,
+    values: Sequence[complex] | np.ndarray,
+) -> np.ndarray:
+    """Read-only dense array holding `values` at `indices` and zeros elsewhere.
+
+    Raises ValueError past STATE_QUBIT_LIMIT qubits, before allocating.
+    """
+    check_dense_limit(layout)
     amps = np.zeros(layout.dim, dtype=np.complex128)
-    if support:
-        amps[list(support)] = list(support.values())
+    if len(indices):
+        amps[indices] = values
     amps.setflags(write=False)
     return amps
 
@@ -207,7 +221,9 @@ class StateVector:
     from its support, `StateVector(layout, support={index: amplitude})`,
     with every index not listed holding zero. A support-held state makes
     `.amplitudes` on first access (see STATE_QUBIT_LIMIT); nonzero_items()
-    reads either form without doing so. norm, == and fidelity work on the
+    and listed_items() read either form without doing so. Data from a caller
+    is validated (index range, finite values); a kernel's output, wrapped by
+    _state, is not scanned again. norm, == and fidelity work on the
     nonzero items when a support-held state is involved and on whole arrays
     when every state is dense, where a per-item loop would cost O(2^n) in
     Python.
@@ -219,16 +235,24 @@ class StateVector:
         amplitudes: np.ndarray | None = None,
         *,
         support: Mapping[int, complex] | None = None,
+        _kernel_output: bool = False,
     ) -> None:
         if (amplitudes is None) == (support is None):
             raise ValueError("give exactly one of amplitudes and support")
         object.__setattr__(self, "layout", layout)
         object.__setattr__(self, "_dense", amplitudes)
         object.__setattr__(self, "_support", support)
-        self.__post_init__()
+        self.__post_init__(_kernel_output)
 
-    def __post_init__(self) -> None:
-        """Validate and freeze the held form; runs on every construction."""
+    def __post_init__(self, kernel_output: bool = False) -> None:
+        """Validate and freeze the held form; runs on every construction.
+
+        A kernel's output is already a frozen array or a fresh dict of int
+        keys and complex values computed from validated data, so it is kept
+        as it is.
+        """
+        if kernel_output:
+            return
         if self._support is not None:
             dim = self.layout.dim
             support = {}
@@ -266,7 +290,8 @@ class StateVector:
     def amplitudes(self) -> np.ndarray:
         """Read-only dense amplitude array, built on first access."""
         if self._dense is None:
-            dense = dense_amplitudes(self.layout, self._support)
+            support = self._support
+            dense = dense_amplitudes(self.layout, list(support), list(support.values()))
             object.__setattr__(self, "_dense", dense)
         return self._dense
 
@@ -276,6 +301,25 @@ class StateVector:
             return sorted((i, a) for i, a in self._support.items() if a)
         idx = np.flatnonzero(self._dense)
         return list(zip(idx.tolist(), self._dense[idx].tolist()))
+
+    def listed_items(self) -> list[tuple[int, complex]]:
+        """(basis index, amplitude) of every entry the state holds explicitly.
+
+        For a support-held state these are its support keys, in support order
+        and kept even when the value is zero; for a dense-held state, the
+        entries whose real or imaginary float64 bit pattern is nonzero, so a
+        -0.0 is listed. Every other entry is +0.0 in both parts.
+        """
+        if self._support is not None:
+            return list(self._support.items())
+        bits = np.ascontiguousarray(self._dense).view(np.uint64)
+        idx = np.flatnonzero(bits[0::2] | bits[1::2])
+        return list(zip(idx.tolist(), self._dense[idx].tolist()))
+
+    @property
+    def dense_held(self) -> bool:
+        """True when the state is held as an amplitude array, not its support."""
+        return self._support is None
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, StateVector):
@@ -301,8 +345,8 @@ class StateVector:
 def _state(layout: RegisterLayout, held: _Held) -> StateVector:
     """Wrap a kernel's output, an amplitude array or a support dict."""
     if isinstance(held, dict):
-        return StateVector(layout, support=held)
-    return StateVector(layout, held)
+        return StateVector(layout, support=held, _kernel_output=True)
+    return StateVector(layout, held, _kernel_output=True)
 
 
 def make_basis_state(layout: RegisterLayout, assignment: Mapping[str, str]) -> StateVector:

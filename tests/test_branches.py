@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from branchcomm.branches import (
+    ZERO_TOL,
     Branch,
     TransferVerdict,
     branches_to_json,
@@ -13,12 +14,14 @@ from branchcomm.branches import (
     register_component_magnitude,
     verify_transfer,
 )
-from branchcomm.protocol import Message, ProtocolConfig, run_protocol
+from branchcomm.protocol import Message, ProtocolConfig, ProtocolRun, run_protocol
 from branchcomm.statevec import (
     StateVector,
     make_basis_state,
     protocol_layout,
 )
+
+from helpers import random_state
 
 SQRT_HALF = math.sqrt(0.5)
 
@@ -280,3 +283,62 @@ def test_branch_type_is_frozen():
     assert isinstance(branches[0], Branch)
     with pytest.raises(AttributeError):
         branches[0].label = "2"
+
+
+def test_dense_and_support_held_states_decompose_alike():
+    rng = np.random.default_rng(17)
+    for trial in range(80):
+        layout = protocol_layout(int(rng.integers(1, 4)), int(rng.integers(1, 3)))
+        if trial % 8 == 0:
+            dense = random_state(layout, rng)
+            held = StateVector(layout, support=dict(enumerate(dense.amplitudes.tolist())))
+        else:
+            count = int(rng.integers(1, layout.dim + 1))
+            indices = rng.choice(layout.dim, size=count, replace=False)
+            scale = rng.choice([1.0, 1e-13, 0.0], size=count, p=[0.8, 0.1, 0.1])
+            values = (rng.normal(size=count) + 1j * rng.normal(size=count)) * scale
+            held = StateVector(layout, support=dict(zip(indices.tolist(), values.tolist())))
+            dense = StateVector(layout, held.amplitudes)
+        assert dense.dense_held and not held.dense_held
+        for register in layout.names:
+            from_dense = decompose_by_register(dense, register)
+            from_support = decompose_by_register(held, register)
+            assert from_dense == from_support, (trial, register)
+            for a, b in zip(from_dense, from_support):
+                assert list(a.indices) == list(b.indices)
+                assert a.component.tobytes() == b.component.tobytes()
+            width = layout.width(register)
+            for value in range(1 << width):
+                bits = format(value, f"0{width}b")
+                assert register_component_magnitude(
+                    dense, register, bits
+                ) == register_component_magnitude(held, register, bits), (trial, bits)
+
+
+@pytest.mark.parametrize("dense", [False, True])
+def test_amplitudes_at_the_zero_tolerance(dense):
+    run = run_protocol(ProtocolConfig(n=2), Message("10"))
+    layout = run.final.layout
+    # a second entry in the receiver's branch (R=0), with paper 11
+    extra = layout.index_for({"Q": "0", "R": "0", "F": "0", "M": "00", "P": "11"})
+    for dust, counted in (
+        (ZERO_TOL * (1 - 1e-9), False),
+        (ZERO_TOL, False),
+        (-1j * ZERO_TOL, False),
+        (ZERO_TOL * (1 + 1e-9), True),
+        (-1j * ZERO_TOL * (1 + 1e-9), True),
+    ):
+        state = StateVector(layout, support={**dict(run.final.nonzero_items()), extra: dust})
+        if dense:
+            state = StateVector(layout, state.amplitudes)
+        by_paper = decompose_by_register(state, "P")
+        assert [b.label for b in by_paper] == ["00", "10"] + ["11"] * counted
+        receiver, sender = decompose_by_register(state, "R")
+        assert (receiver.local_state is None) == counted
+        assert sender.local_state is not None
+        if not counted:
+            assert receiver.amplitude == SQRT_HALF
+        verdict = verify_transfer(ProtocolRun(run.config, run.checkpoints, state), Message("10"))
+        assert verdict.success == (not counted), dust
+        if counted:
+            assert verdict.failure_reason.startswith("non-classical branch: R=0")

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from branchcomm import cli, suites
+from branchcomm import cli, statevec, suites
 from branchcomm.cli import main
 from branchcomm.nogo import ClaimReport, MemoryPreservingSwapG
 from branchcomm.protocol import (
@@ -64,6 +64,28 @@ def test_run_document_round_trips_amplitudes(capsys):
         ) <= 1e-15
 
 
+def json_dumps_document(run, message):
+    """The `run` document built as a dict and written by json.dumps."""
+
+    def pairs(state):
+        return [[a.real, a.imag] for a in state.amplitudes.tolist()]
+
+    config = run.config
+    document = {
+        "config": {
+            "n": config.n,
+            "amp0": config.amp0,
+            "amp1": config.amp1,
+            "uncompute_memory": config.uncompute_memory,
+            "apply_branch_swap": config.apply_branch_swap,
+        },
+        "message": message.bits,
+        "checkpoints": {label: pairs(state) for label, state in run.checkpoints.items()},
+        "final": pairs(run.final),
+    }
+    return json.dumps(document, indent=2)
+
+
 def test_run_document_is_the_json_dumps_text():
     rng = np.random.default_rng(7)
     config = ProtocolConfig(n=1, amp0=0.6, amp1=0.8, apply_branch_swap=False)
@@ -73,23 +95,52 @@ def test_run_document_is_the_json_dumps_text():
     amps[:4] = [-0.0, complex(-0.0, -0.0), 1e-300j, -1 / 3]
     checkpoints = {**run.checkpoints, "eq1": StateVector(layout, amps)}
     odd = ProtocolRun(config, checkpoints, run.final)
+    assert cli.run_document(odd, Message("1")) == json_dumps_document(odd, Message("1"))
 
-    def pairs(state):
-        return [[a.real, a.imag] for a in state.amplitudes.tolist()]
 
-    expected = {
-        "config": {
-            "n": 1,
-            "amp0": 0.6,
-            "amp1": 0.8,
-            "uncompute_memory": True,
-            "apply_branch_swap": False,
-        },
-        "message": "1",
-        "checkpoints": {label: pairs(state) for label, state in checkpoints.items()},
-        "final": pairs(odd.final),
+@pytest.mark.parametrize("dense", [False, True])
+def test_run_document_keeps_signed_zeros_and_both_ends(dense, monkeypatch):
+    config = ProtocolConfig(n=2, amp0=0.6, amp1=0.8)
+    message = Message("10")
+    run = run_protocol(config, message)
+    layout = run.final.layout
+    support = {
+        0: -0.0,
+        5: complex(-0.0, -0.0),
+        6: 0j,
+        9: -1 / 3,
+        layout.dim - 1: 1e-300j,
     }
-    assert cli.run_document(odd, Message("1")) == json.dumps(expected, indent=2)
+    state = StateVector(layout, support=support)
+    if dense:
+        state = StateVector(layout, state.amplitudes)
+    odd = ProtocolRun(config, {**run.checkpoints, "eq3": state}, state)
+    with monkeypatch.context() as patch:
+        if not dense:  # the text is written without making the state dense
+
+            def refuse(*args):
+                raise AssertionError("made a dense array")
+
+            patch.setattr(statevec, "dense_amplitudes", refuse)
+        text = cli.run_document(odd, message)
+    assert text == json_dumps_document(odd, message)
+    assert text.count("-0.0") == 6  # three per array: eq3 and final
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_run_document_is_json_dumps_for_every_config(n):
+    rng = np.random.default_rng(n)
+    messages = sorted({"1" * n, "".join(rng.choice(["0", "1"], size=n))})
+    for bits in messages:
+        for flags in (
+            {},
+            {"uncompute_memory": False},
+            {"apply_branch_swap": False},
+            {"amp0": 0.6, "amp1": 0.8},
+        ):
+            run = run_protocol(ProtocolConfig(n=n, **flags), Message(bits))
+            text = cli.run_document(run, Message(bits))
+            assert text == json_dumps_document(run, Message(bits)), (bits, flags)
 
 
 def test_run_writes_output_file(capsys, tmp_path):

@@ -6,7 +6,16 @@ import pytest
 
 from branchcomm.protocol import Message, ProtocolConfig, build_protocol_circuit, run_protocol
 from branchcomm.qasm import parse_qasm, simulate_qasm, to_qasm
-from branchcomm.statevec import Circuit, GateKind, GateOp, RegisterLayout
+from branchcomm.statevec import (
+    Circuit,
+    GateKind,
+    GateOp,
+    RegisterLayout,
+    apply_circuit,
+    zero_state,
+)
+
+from helpers import oracle_apply
 
 
 def gate_histogram(text):
@@ -152,3 +161,30 @@ def test_multi_control_encoder_is_outside_the_dialect():
     op = GateOp(GateKind.ENCODE_MU, (1,), (0, 2), payload="1")
     with pytest.raises(ValueError, match="multi-control"):
         to_qasm(Circuit(layout, (op,)))
+
+
+def test_random_x_h_cx_circuits_round_trip():
+    rng = np.random.default_rng(2024)
+    for trial in range(150):
+        total = int(rng.integers(1, 6))
+        layout = RegisterLayout((("q", total),))
+        ops = []
+        for _ in range(int(rng.integers(1, 13))):
+            qubits = [int(q) for q in rng.permutation(total)]
+            kind = int(rng.integers(3 if total > 1 else 2))
+            if kind == 0:
+                ops.append(GateOp.x(qubits[0]))
+            elif kind == 1:
+                ops.append(GateOp.h(qubits[0]))
+            else:
+                ops.append(GateOp.cnot(qubits[0], qubits[1]))
+        circuit = Circuit(layout, tuple(ops))
+        text = to_qasm(circuit, measure=bool(trial % 2))
+        assert parse_qasm(text) == (total, ops), trial
+        expected, _ = apply_circuit(zero_state(layout), circuit)
+        resimulated = simulate_qasm(text)
+        assert resimulated == expected, trial
+        start = np.zeros(layout.dim, dtype=complex)
+        start[0] = 1.0
+        oracle = oracle_apply(start, ops, total)
+        assert np.max(np.abs(resimulated.amplitudes - oracle)) <= 1e-12, trial

@@ -17,6 +17,7 @@ from branchcomm.statevec import (
     apply_gate,
     fidelity,
     gate_matrix,
+    l2_norm,
     make_basis_state,
     protocol_layout,
     zero_state,
@@ -416,3 +417,62 @@ def test_support_form_validation_and_dense_limit():
     assert abs(held.norm() - 1.0) <= 1e-12
     with pytest.raises(ValueError, match=f"{STATE_QUBIT_LIMIT + 1} qubits"):
         held.amplitudes
+
+
+@pytest.mark.parametrize(
+    "bad", [np.inf, -np.inf, np.nan, complex(0.0, np.nan), complex(np.inf, 1.0)]
+)
+def test_caller_data_that_is_not_finite_is_rejected(bad):
+    amps = np.zeros(8, dtype=complex)
+    amps[3] = bad
+    with pytest.raises(ValueError, match="finite"):
+        StateVector(QRF, amps)
+    with pytest.raises(ValueError, match="finite"):
+        StateVector(QRF, amps.tolist())
+    with pytest.raises(ValueError, match="finite"):
+        StateVector(QRF, support={3: bad})
+
+
+def test_kernel_outputs_are_not_scanned_again(monkeypatch):
+    state = StateVector(QRF, np.full(8, math.sqrt(1 / 8), dtype=complex))
+
+    def no_scan(*args, **kwargs):
+        raise AssertionError("finiteness scan")
+
+    monkeypatch.setattr(np, "isfinite", no_scan)
+    circuit = Circuit(QRF, (GateOp.h(0), GateOp.cnot(0, 1)), ((0, "after_h"),))
+    final, snapshots = apply_circuit(state, circuit)
+    for out in (final, snapshots["after_h"], apply_gate(state, GateOp.x(2))):
+        assert out.dense_held
+        assert not out.amplitudes.flags.writeable
+    with pytest.raises(AssertionError, match="finiteness scan"):
+        StateVector(QRF, np.ones(8, dtype=complex))
+
+
+def test_listed_items_keep_signed_zeros():
+    support = {0: -0.0, 2: complex(-0.0, -0.0), 5: 0j, 7: 1e-300j}
+    held = StateVector(QRF, support=support)
+    dense = StateVector(QRF, held.amplitudes)
+    assert not held.dense_held and dense.dense_held
+    assert held.listed_items() == list(support.items())
+    # +0j at index 5 has an all-zero bit pattern, so only the dense form drops it
+    listed = dense.listed_items()
+    assert [i for i, _ in listed] == [0, 2, 7]
+    assert [repr((a.real, a.imag)) for _, a in listed] == [
+        "(-0.0, 0.0)", "(-0.0, -0.0)", "(0.0, 1e-300)"
+    ]
+
+
+def test_l2_norm_sums_left_to_right_from_any_container():
+    rng = np.random.default_rng(5)
+    for size in (0, 1, 2, 7, 1000):
+        values = rng.normal(size=size) * 10.0 ** rng.integers(-8, 8, size=size)
+        values = values + 1j * rng.normal(size=size)
+        re_sum = im_sum = 0.0
+        for a in values.tolist():
+            re_sum += a.real * a.real
+            im_sum += a.imag * a.imag
+        expected = math.sqrt(re_sum + im_sum)
+        assert l2_norm(values) == expected
+        assert l2_norm(values.tolist()) == expected
+        assert l2_norm(iter(values.tolist())) == expected
