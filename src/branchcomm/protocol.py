@@ -23,6 +23,15 @@ Label eq7 is reserved for the swap operation itself rather than a state, so
 no checkpoint carries it. Column 6 is skipped when uncompute_memory is
 false, column 7 when apply_branch_swap is false; their checkpoint labels
 disappear with them and the final state is then the last recorded one.
+
+Only column 4 depends on mu, and only column 1 on the amplitudes. The other
+columns, the layout and the checkpoint table are built once per
+(n, uncompute_memory, apply_branch_swap) and shared by every circuit with
+that key, so the ops Theorem 1 requires to be message-independent are the
+same objects for every message. Column 1 is built per call and never
+cached: ProtocolConfig(amp1=0.0) == ProtocolConfig(amp1=-0.0), yet the
+first prepares with RY(0.0) and the second with RY(-0.0), and the JSON
+export prints that sign.
 """
 
 from __future__ import annotations
@@ -30,13 +39,15 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass
+from functools import lru_cache
 from types import MappingProxyType
-from typing import Mapping
+from typing import Mapping, NamedTuple
 
 from .statevec import (
     SQRT_HALF,
     Circuit,
     GateOp,
+    RegisterLayout,
     StateVector,
     apply_circuit,
     check_bits,
@@ -110,6 +121,38 @@ class ProtocolRun:
         object.__setattr__(self, "checkpoints", MappingProxyType(dict(self.checkpoints)))
 
 
+class _SharedParts(NamedTuple):
+    """Everything in the transfer circuit that depends on neither mu nor the
+    amplitudes: the layout, the qubits the preparation op and the encoder
+    act on, the two record CNOTs, the ops after the encoder, and the
+    checkpoint table."""
+
+    layout: RegisterLayout
+    q: int
+    f: int
+    m: tuple[int, ...]
+    records: tuple[GateOp, ...]
+    tail: tuple[GateOp, ...]
+    checkpoints: tuple[tuple[int, str], ...]
+
+
+@lru_cache(maxsize=128)
+def _shared_parts(n: int, uncompute_memory: bool, apply_branch_swap: bool) -> _SharedParts:
+    layout = protocol_layout(n)
+    q, r, f = layout.offset("Q"), layout.offset("R"), layout.offset("F")
+    m, p = layout.qubits("M"), layout.qubits("P")
+    tail = [GateOp.transversal_cnot(m, p)]  # op 4 onwards
+    checkpoints = [(0, "eq1"), (1, "eq2"), (2, "eq3"), (3, "eq4"), (4, "eq5")]
+    if uncompute_memory:
+        tail.append(GateOp.transversal_cnot(p, m))
+        checkpoints.append((3 + len(tail), "eq6"))
+    if apply_branch_swap:
+        tail.append(GateOp.multi_x((q, r, f)))
+        checkpoints.append((3 + len(tail), "eq8"))
+    records = (GateOp.cnot(q, f), GateOp.cnot(f, r))
+    return _SharedParts(layout, q, f, m, records, tuple(tail), tuple(checkpoints))
+
+
 def build_protocol_circuit(
     config: ProtocolConfig, message: Message | None = None
 ) -> Circuit:
@@ -117,39 +160,21 @@ def build_protocol_circuit(
 
     The ENCODE_MU payload is taken from `message`; with no message given the
     payload is blank, which keeps the circuit shape while writing nothing.
+    Only the preparation op and the encoder are built per call.
     """
     n = config.n
     if message is not None and message.n != n:
         raise ValueError(f"message width {message.n} != configured width {n}")
     payload = message.bits if message is not None else "0" * n
 
-    layout = protocol_layout(n)
-    q = layout.offset("Q")
-    r = layout.offset("R")
-    f = layout.offset("F")
-    m = layout.qubits("M")
-    p = layout.qubits("P")
-
+    parts = _shared_parts(n, bool(config.uncompute_memory), bool(config.apply_branch_swap))
     if abs(config.amp0 - config.amp1) <= AMP_TOL:
-        prep = GateOp.h(q)
+        prep = GateOp.h(parts.q)
     else:
-        prep = GateOp.ry(2.0 * math.atan2(config.amp1, config.amp0), q)
-
-    ops = [
-        prep,
-        GateOp.cnot(q, f),
-        GateOp.cnot(f, r),
-        GateOp.encode(payload, m, control=f),
-        GateOp.transversal_cnot(m, p),
-    ]
-    checkpoints = [(0, "eq1"), (1, "eq2"), (2, "eq3"), (3, "eq4"), (4, "eq5")]
-    if config.uncompute_memory:
-        ops.append(GateOp.transversal_cnot(p, m))
-        checkpoints.append((len(ops) - 1, "eq6"))
-    if config.apply_branch_swap:
-        ops.append(GateOp.multi_x((q, r, f)))
-        checkpoints.append((len(ops) - 1, "eq8"))
-    return Circuit(layout, tuple(ops), tuple(checkpoints))
+        prep = GateOp.ry(2.0 * math.atan2(config.amp1, config.amp0), parts.q)
+    encoder = GateOp.encode(payload, parts.m, control=parts.f)
+    ops = (prep, *parts.records, encoder, *parts.tail)
+    return Circuit(parts.layout, ops, parts.checkpoints)
 
 
 def run_protocol(config: ProtocolConfig, message: Message) -> ProtocolRun:

@@ -21,11 +21,16 @@ basis states. Each compiles to an ordered list of (control mask C, flip
 mask F) pairs, applied in turn; a pair flips the bits of F in every basis
 index whose C bits are all set, with bit masks taken over the global index.
 These pairs are the single description of those kinds: both forms' kernels,
-gate_matrix and the QASM emitter all read them. H and RY mix the two values
-of one qubit; both forms compute each (i, i|t) pair with the same
-expressions, so a support-held state and the same state held dense evolve
-to equal amplitudes. The route that shares no code with this module is the
-Kronecker-product oracle in tests/helpers.py.
+gate_matrix and the QASM emitter all read them. An op depends on a layout
+only through its total qubit count, so each GateOp compiles once per count:
+it keeps the pairs and the fact that it passed validation (never a
+failure). protocol_layout is cached, since a RegisterLayout is immutable,
+and zero_state holds {0: 1.0}, the all-zero index in every layout.
+
+H and RY mix the two values of one qubit; both forms compute each (i, i|t)
+pair with the same expressions, so a support-held state and the same state
+held dense evolve to equal amplitudes. The route that shares no code with
+this module is the Kronecker-product oracle in tests/helpers.py.
 """
 
 from __future__ import annotations
@@ -34,7 +39,7 @@ import cmath
 import enum
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -156,8 +161,12 @@ class RegisterLayout:
         return {name: self.value_of(index, name) for name, _ in self.registers}
 
 
+@lru_cache(maxsize=128)
 def protocol_layout(n: int, friend_width: int = 1) -> RegisterLayout:
-    """Canonical transfer layout: Q(1), R(1), F(friend_width), M(n), P(n)."""
+    """Canonical transfer layout: Q(1), R(1), F(friend_width), M(n), P(n).
+
+    Cached: a RegisterLayout is immutable, so every caller may share one.
+    """
     if n < 1:
         raise ValueError(f"message width must be >= 1, got {n}")
     if friend_width < 1:
@@ -224,9 +233,9 @@ class StateVector:
     and listed_items() read either form without doing so. Data from a caller
     is validated (index range, finite values); a kernel's output, wrapped by
     _state, is not scanned again. norm, == and fidelity work on the
-    nonzero items when a support-held state is involved and on whole arrays
-    when every state is dense, where a per-item loop would cost O(2^n) in
-    Python.
+    nonzero items when a support-held state is involved, reading a dense
+    operand only at the other's support, and on whole arrays when every
+    state is dense, where a per-item loop would cost O(2^n) in Python.
     """
 
     def __init__(
@@ -328,7 +337,14 @@ class StateVector:
             return False
         if self._support is None and other._support is None:
             return np.array_equal(self._dense, other._dense)
-        return dict(self.nonzero_items()) == dict(other.nonzero_items())
+        if self._support is not None and other._support is not None:
+            return dict(self.nonzero_items()) == dict(other.nonzero_items())
+        # One side dense: equal when it holds exactly the other's nonzero
+        # entries, read at those indices rather than walked entry by entry.
+        held, dense = (self, other._dense) if other._support is None else (other, self._dense)
+        items = held.nonzero_items()
+        at_support = dense[[i for i, _ in items]].tolist()
+        return np.count_nonzero(dense) == len(items) and at_support == [a for _, a in items]
 
     __hash__ = None  # type: ignore[assignment]
 
@@ -355,8 +371,8 @@ def make_basis_state(layout: RegisterLayout, assignment: Mapping[str, str]) -> S
 
 
 def zero_state(layout: RegisterLayout) -> StateVector:
-    """All-registers-zero basis state."""
-    return make_basis_state(layout, {name: "0" * w for name, w in layout.registers})
+    """All-registers-zero basis state: index 0 in every layout."""
+    return StateVector(layout, support={0: 1.0})
 
 
 @dataclass(frozen=True)
@@ -365,6 +381,11 @@ class GateOp:
 
     Payload is the bit-string written by ENCODE_MU; angle parameterizes RY.
     Global qubit positions follow the layout convention (0 = most significant).
+
+    An op depends on a layout only through its total qubit count, so it
+    remembers, per count, that it passed validate and what flip_pairs
+    compiled it to; a rejected op is not remembered and raises every time.
+    Neither memo takes part in ==, hash or repr.
     """
 
     kind: GateKind
@@ -376,6 +397,8 @@ class GateOp:
     def __post_init__(self) -> None:
         object.__setattr__(self, "targets", tuple(int(t) for t in self.targets))
         object.__setattr__(self, "controls", tuple(int(c) for c in self.controls))
+        object.__setattr__(self, "_valid_for", set())
+        object.__setattr__(self, "_pairs_for", {})
 
     # -- constructors ------------------------------------------------------
 
@@ -420,6 +443,12 @@ class GateOp:
 
     def validate(self, layout: RegisterLayout) -> None:
         total = layout.total_qubits
+        if total in self._valid_for:
+            return
+        self._check(total)
+        self._valid_for.add(total)
+
+    def _check(self, total: int) -> None:
         touched = self.qubits
         if not self.targets:
             raise ValueError(f"{self.kind.value} op has no targets")
@@ -525,7 +554,17 @@ def _mask(total: int, qubits: Iterable[int]) -> int:
 
 
 def flip_pairs(op: GateOp, total: int) -> tuple[tuple[int, int], ...]:
-    """(control mask, flip mask) pairs of a basis-permuting op, in order."""
+    """(control mask, flip mask) pairs of a basis-permuting op, in order.
+
+    Compiled once per op and total qubit count.
+    """
+    pairs = op._pairs_for.get(total)
+    if pairs is None:
+        pairs = op._pairs_for[total] = _compile_pairs(op, total)
+    return pairs
+
+
+def _compile_pairs(op: GateOp, total: int) -> tuple[tuple[int, int], ...]:
     kind = op.kind
     if kind is GateKind.TRANSVERSAL_CNOT:
         return tuple(
@@ -659,11 +698,26 @@ def fidelity(a: StateVector, b: StateVector) -> float:
         raise ValueError("states live on different layouts")
     if a._support is None and b._support is None:
         return float(abs(np.vdot(a._dense, b._dense)) ** 2)
-    theirs = dict(b.nonzero_items())
-    overlap = sum(
-        (amp.conjugate() * theirs[i] for i, amp in a.nonzero_items() if i in theirs), 0j
-    )
+    overlap = sum((x.conjugate() * y for x, y in _common_nonzero(a, b)), 0j)
     return float(abs(overlap) ** 2)
+
+
+def _common_nonzero(
+    a: StateVector, b: StateVector
+) -> list[tuple[complex, complex]]:
+    """(a_i, b_i) at every index i where both are nonzero, ascending i.
+
+    At least one state is support-held; a dense operand is read only at the
+    other's support, never walked entry by entry.
+    """
+    if a._support is not None and b._support is not None:
+        theirs = dict(b.nonzero_items())
+        return [(x, theirs[i]) for i, x in a.nonzero_items() if i in theirs]
+    if a._support is None:
+        return [(y, x) for x, y in _common_nonzero(b, a)]
+    items = a.nonzero_items()
+    theirs = b._dense[[i for i, _ in items]].tolist()
+    return [(x, y) for (_, x), y in zip(items, theirs) if y]
 
 
 def gate_matrix(op: GateOp, layout: RegisterLayout) -> np.ndarray:

@@ -17,6 +17,7 @@ from branchcomm.protocol import (
 from branchcomm.statevec import (
     GateKind,
     GateOp,
+    RegisterLayout,
     StateVector,
     apply_circuit,
     fidelity,
@@ -134,6 +135,61 @@ def test_preparation_gate_matches_amplitudes():
     assert abs(prep.angle - 2 * math.atan2(amp1, amp0)) <= 1e-15
     assert abs(math.cos(prep.angle / 2) - amp0) <= 1e-12
     assert abs(math.sin(prep.angle / 2) - amp1) <= 1e-12
+
+
+def _ops_built_fresh(config, payload):
+    """The transfer circuit's ops, written out against an uncached layout."""
+    n = config.n
+    layout = RegisterLayout((("Q", 1), ("R", 1), ("F", 1), ("M", n), ("P", n)))
+    q, r, f = (layout.offset(name) for name in "QRF")
+    m, p = layout.qubits("M"), layout.qubits("P")
+    if abs(config.amp0 - config.amp1) <= 1e-12:
+        prep = GateOp.h(q)
+    else:
+        prep = GateOp.ry(2.0 * math.atan2(config.amp1, config.amp0), q)
+    ops = [prep, GateOp.cnot(q, f), GateOp.cnot(f, r)]
+    ops += [GateOp.encode(payload, m, control=f), GateOp.transversal_cnot(m, p)]
+    if config.uncompute_memory:
+        ops.append(GateOp.transversal_cnot(p, m))
+    if config.apply_branch_swap:
+        ops.append(GateOp.multi_x((q, r, f)))
+    return layout, ops
+
+
+def test_interleaved_builds_share_parts_and_keep_their_payloads():
+    configs = [
+        ProtocolConfig(n=2),
+        ProtocolConfig(n=3, uncompute_memory=False),
+        ProtocolConfig(n=2, amp0=0.6, amp1=0.8),
+        ProtocolConfig(n=3, apply_branch_swap=False),
+        ProtocolConfig(n=2, uncompute_memory=False, apply_branch_swap=False),
+    ]
+    built = []
+    for round_ in range(2):
+        for config in configs:
+            for message in [None] + all_messages(config.n)[round_::3]:
+                built.append((config, message, build_protocol_circuit(config, message)))
+    for config, message, circuit in built:
+        payload = message.bits if message is not None else "0" * config.n
+        layout, fresh = _ops_built_fresh(config, payload)
+        assert circuit.layout == layout
+        assert circuit.ops == tuple(fresh)
+        (encoder,) = [op for op in circuit.ops if op.kind is GateKind.ENCODE_MU]
+        assert encoder.payload == payload
+    # the message-independent ops are the same objects for every message
+    for config in configs:
+        first, *rest = [c for cfg, _, c in built if cfg == config]
+        for circuit in rest:
+            for i, op in enumerate(circuit.ops):
+                if i not in (0, 3):
+                    assert op is first.ops[i]
+
+
+def test_negative_zero_amplitude_keeps_its_sign():
+    positive = build_protocol_circuit(ProtocolConfig(n=1, amp0=1.0, amp1=0.0))
+    negative = build_protocol_circuit(ProtocolConfig(n=1, amp0=1.0, amp1=-0.0))
+    assert math.copysign(1, positive.ops[0].angle) == 1
+    assert math.copysign(1, negative.ops[0].angle) == -1
 
 
 def test_blank_payload_default_and_width_mismatch():

@@ -16,6 +16,7 @@ from branchcomm.statevec import (
     apply_circuit,
     apply_gate,
     fidelity,
+    flip_pairs,
     gate_matrix,
     l2_norm,
     make_basis_state,
@@ -174,6 +175,39 @@ def test_gateop_validation():
         GateOp.encode("2", (0,)).validate(QRF)
     with pytest.raises(ValueError):
         GateOp(GateKind.MULTI_X, ()).validate(QRF)
+
+
+def test_gateop_remembers_only_passed_validation_per_width():
+    wide = protocol_layout(8)  # 19 qubits
+    op = GateOp.x(10)
+    op.validate(wide)
+    with pytest.raises(ValueError, match="out of range for 3-qubit"):
+        op.validate(QRF)
+    op.validate(wide)
+
+    rejected = GateOp.encode("10", (0, 1, 2))
+    for _ in range(2):
+        with pytest.raises(ValueError, match="payload width"):
+            rejected.validate(QRF)
+    bad_qubit = GateOp.x(3)
+    with pytest.raises(ValueError, match="out of range"):
+        bad_qubit.validate(QRF)
+    bad_qubit.validate(protocol_layout(1))  # 5 qubits: qubit 3 exists
+    with pytest.raises(ValueError, match="out of range"):
+        bad_qubit.validate(QRF)
+
+
+def test_flip_pairs_compile_once_per_width_outside_equality():
+    op = GateOp.transversal_cnot((0, 1), (2, 3))
+    narrow, wide = flip_pairs(op, 4), flip_pairs(op, 6)
+    assert narrow == ((0b1000, 0b0010), (0b0100, 0b0001))
+    assert wide == ((0b100000, 0b001000), (0b010000, 0b000100))
+    assert flip_pairs(op, 4) is narrow and flip_pairs(op, 6) is wide
+    op.validate(protocol_layout(1))
+    fresh = GateOp.transversal_cnot((0, 1), (2, 3))
+    assert op == fresh and hash(op) == hash(fresh) and repr(op) == repr(fresh)
+    with pytest.raises(ValueError, match="not a basis permutation"):
+        flip_pairs(GateOp.h(0), 4)
 
 
 # --- circuits -----------------------------------------------------------------
@@ -367,6 +401,65 @@ def test_fidelity_examples():
 
 
 # --- support-held and dense forms -------------------------------------------
+
+
+def _fidelity_by_items(a, b):
+    """The support-route formula: conj(a_i) * b_i over the indices nonzero in
+    both, ascending, summed left to right from 0j."""
+    theirs = dict(b.nonzero_items())
+    overlap = sum(
+        (amp.conjugate() * theirs[i] for i, amp in a.nonzero_items() if i in theirs), 0j
+    )
+    return float(abs(overlap) ** 2)
+
+
+def test_mixed_form_fidelity_and_equality_read_the_support(monkeypatch):
+    rng = np.random.default_rng(8)
+    layout = RegisterLayout((("q", 10),))
+    amps = rng.standard_normal(layout.dim) + 1j * rng.standard_normal(layout.dim)
+    amps[rng.choice(layout.dim, 300, replace=False)] = 0.0
+    dense = StateVector(layout, amps / np.linalg.norm(amps))
+    zeros = np.flatnonzero(dense.amplitudes == 0)
+    cases = []
+    for size in (0, 1, 2, 40):
+        picked = rng.choice(layout.dim, size, replace=False).tolist()
+        if size:
+            picked[0] = int(zeros[0])  # a zero partner in the dense operand
+        values = rng.standard_normal(size) + 1j * rng.standard_normal(size)
+        cases.append(StateVector(layout, support=dict(zip(picked, values.tolist()))))
+
+    expected = {
+        (id(s), order): _fidelity_by_items(*((s, dense) if order else (dense, s)))
+        for s in cases
+        for order in (0, 1)
+    }
+    real_items = StateVector.nonzero_items
+
+    def support_only(self):
+        assert not self.dense_held, "a dense operand was walked entry by entry"
+        return real_items(self)
+
+    monkeypatch.setattr(StateVector, "nonzero_items", support_only)
+    for held in cases:
+        as_dense = StateVector(layout, held.amplitudes.copy())
+        for order, (a, b) in enumerate(((dense, held), (held, dense))):
+            got = fidelity(a, b)
+            assert got == expected[id(held), order]
+            all_dense = (dense, as_dense) if order == 0 else (as_dense, dense)
+            assert abs(got - fidelity(*all_dense)) <= 1e-12
+        assert held != dense and dense != held
+        assert held == as_dense and as_dense == held
+
+    held = StateVector(layout, support={5: 0.6, 9: 0.8j, 11: 0.0})
+    same = held.amplitudes.copy()
+    same[3] = complex(-0.0, 0.0)  # a signed zero is still zero
+    assert held == StateVector(layout, same)
+    extra = same.copy()
+    extra[4] = 1e-300
+    assert held != StateVector(layout, extra)
+    shifted = same.copy()
+    shifted[9] = 0.8j + 1e-16
+    assert held != StateVector(layout, shifted)
 
 
 def test_support_and_dense_routes_agree_on_random_circuits():
