@@ -14,9 +14,11 @@ from __future__ import annotations
 
 import argparse
 import functools
+import itertools
 import json
 import math
 import sys
+from collections.abc import Iterable, Iterator
 
 from .branches import decompose_by_register, verify_transfer
 from .protocol import (
@@ -88,32 +90,70 @@ def _protocol_inputs(args: argparse.Namespace) -> tuple[ProtocolConfig, Message]
     return config, message
 
 
-def _pairs_json(state: StateVector, indent: str) -> str:
-    """The [re, im] pair list as json.dumps(..., indent=2) writes it when the
-    list opens at `indent`.
+# Zero entries per cached block of `,<item>` text: 70-86 KB per indent,
+# whatever the width of the state.
+ZERO_BLOCK_ITEMS = 1 << 11
 
-    Only the state's listed entries (StateVector.listed_items) go through the
-    %r item template; every other entry is +0.0 in both parts and shares one
-    constant item string. The text costs one list of dim references and one
-    join, both in C, plus one %r per listed entry, and never makes a
-    support-held state dense.
-    """
+
+@functools.cache
+def _item_texts(indent: str) -> tuple[str, memoryview]:
+    """The `,<item>` %r template of one [re, im] pair in a list opened at
+    `indent`, and a read-only block of ZERO_BLOCK_ITEMS copies of it filled
+    with +0.0, built once per indent."""
     pad = "\n" + indent
-    item = f"{pad}  [{pad}    %r,{pad}    %r{pad}  ]"
-    items = [item % (0.0, 0.0)] * state.dim
-    for index, amp in state.listed_items():
-        items[index] = item % (amp.real, amp.imag)
-    return "[" + ",".join(items) + pad + "]"
+    item = f",{pad}  [{pad}    %r,{pad}    %r{pad}  ]"
+    zeros = (item % (0.0, 0.0) * ZERO_BLOCK_ITEMS).encode("ascii")
+    return item, memoryview(zeros)
 
 
-def run_document(run: ProtocolRun, message: Message) -> str:
-    """JSON checkpoint document text: config, message, per-label amplitudes,
-    final amplitudes, all in ascending global-index order.
+def _item_chunks(state: StateVector, indent: str) -> Iterator[bytes | memoryview]:
+    """The `,<item>` text of every entry of `state`, ascending index.
 
-    Byte-identical to json.dumps(document, indent=2), at the cost of O(dim)
-    C-level joins plus one %r per listed entry (see _pairs_json). Raises
-    ValueError, before any text is built, when the states are wider than a
-    dense state may be (STATE_QUBIT_LIMIT).
+    Only the listed entries (StateVector.listed_items) go through the %r
+    template; a run of other entries, +0.0 in both parts, is whole zero
+    blocks plus one slice of a block.
+    """
+    item, zeros = _item_texts(indent)
+    size = len(zeros) // ZERO_BLOCK_ITEMS
+    start = 0
+    for index, amp in sorted(state.listed_items()):
+        yield from _zero_chunks(zeros, (index - start) * size)
+        yield (item % (amp.real, amp.imag)).encode("ascii")
+        start = index + 1
+    yield from _zero_chunks(zeros, (state.dim - start) * size)
+
+
+def _zero_chunks(zeros: memoryview, length: int) -> Iterator[memoryview]:
+    """Chunks holding `length` bytes of `zeros` repeated end to end."""
+    blocks, rest = divmod(length, len(zeros))
+    yield from itertools.repeat(zeros, blocks)
+    if rest:
+        yield zeros[:rest]
+
+
+def _pairs_json(state: StateVector, indent: str) -> Iterator[bytes | memoryview]:
+    """The [re, im] pair list as json.dumps(..., indent=2) writes it when the
+    list opens at `indent`, as chunks of ASCII bytes in text order.
+
+    The chunks are the items of _item_chunks with the first item's leading
+    comma dropped. Zero entries are slices of one cached block per indent,
+    so the memory the chunks hold does not grow with the width of the state,
+    and a support-held state is never made dense.
+    """
+    chunks = _item_chunks(state, indent)
+    yield b"["
+    yield next(chunks)[1:]
+    yield from chunks
+    yield f"\n{indent}]".encode("ascii")
+
+
+def _document_chunks(run: ProtocolRun, message: Message) -> Iterator[bytes | memoryview]:
+    """The `run` document (see run_document) as chunks of ASCII bytes in
+    text order, for a sink that takes them one at a time.
+
+    Raises ValueError on the first step, before any chunk, when the states
+    are wider than a dense state may be (STATE_QUBIT_LIMIT). That is not at
+    the call, so cmd_run checks the width itself before it opens the file.
     """
     check_dense_limit(run.final.layout)
     head = json.dumps(
@@ -129,14 +169,35 @@ def run_document(run: ProtocolRun, message: Message) -> str:
         },
         indent=2,
     )
-    checkpoints = ",".join(
-        f"\n    {json.dumps(label)}: {_pairs_json(state, '    ')}"
-        for label, state in run.checkpoints.items()
-    )
-    return (
-        f'{head[:-2]},\n  "checkpoints": {{{checkpoints}\n  }},\n'
-        f'  "final": {_pairs_json(run.final, "  ")}\n}}'
-    )
+    yield f'{head[:-2]},\n  "checkpoints": {{'.encode("ascii")
+    separator = ""
+    for label, state in run.checkpoints.items():
+        yield f"{separator}\n    {json.dumps(label)}: ".encode("ascii")
+        yield from _pairs_json(state, "    ")
+        separator = ","
+    yield b'\n  },\n  "final": '
+    yield from _pairs_json(run.final, "  ")
+    yield b"\n}"
+
+
+def run_document(run: ProtocolRun, message: Message) -> str:
+    """JSON checkpoint document text: config, message, per-label amplitudes,
+    final amplitudes, all in ascending global-index order.
+
+    Byte-identical to json.dumps(document, indent=2). It is the join of the
+    chunks `run -o` streams to its file (_document_chunks), so both routes
+    share one producer. Raises ValueError, before any text is built, when
+    the states are wider than a dense state may be (STATE_QUBIT_LIMIT).
+    """
+    return b"".join(_document_chunks(run, message)).decode("ascii")
+
+
+def _write_chunks(chunks: Iterable[bytes | memoryview], output_path: str) -> None:
+    try:
+        with open(output_path, "wb") as handle:
+            handle.writelines(chunks)
+    except OSError as exc:
+        raise _UsageError(f"cannot write {output_path!r}: {exc}") from exc
 
 
 def _emit(text: str, output_path: str | None) -> None:
@@ -145,11 +206,7 @@ def _emit(text: str, output_path: str | None) -> None:
         if not text.endswith("\n"):
             sys.stdout.write("\n")
         return
-    try:
-        with open(output_path, "w", encoding="utf-8") as handle:
-            handle.write(text)
-    except OSError as exc:
-        raise _UsageError(f"cannot write {output_path!r}: {exc}") from exc
+    _write_chunks((text.encode("utf-8"),), output_path)
 
 
 def _circuit_summary(circuit: Circuit) -> str:
@@ -159,11 +216,15 @@ def _circuit_summary(circuit: Circuit) -> str:
 def cmd_run(args: argparse.Namespace) -> int:
     config, message = _protocol_inputs(args)
     run = run_protocol(config, message)
+    # Checked here, before an existing output file is opened and truncated.
     try:
-        document = run_document(run, message)
+        check_dense_limit(run.final.layout)
     except ValueError as exc:  # too wide to write out densely
         raise _UsageError(str(exc)) from None
-    _emit(document, args.output)
+    if args.output is None:
+        _emit(run_document(run, message), None)
+    else:
+        _write_chunks(_document_chunks(run, message), args.output)
 
     err = sys.stderr
     print(_circuit_summary(build_protocol_circuit(config, message)), file=err)

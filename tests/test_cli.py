@@ -1,5 +1,6 @@
 import json
 import math
+import os
 
 import numpy as np
 import pytest
@@ -127,20 +128,90 @@ def test_run_document_keeps_signed_zeros_and_both_ends(dense, monkeypatch):
     assert text.count("-0.0") == 6  # three per array: eq3 and final
 
 
+def run_cli_document(capsys, tmp_path, *argv):
+    """The `run` document as the CLI writes it to an -o file, checked to be
+    the stdout text minus its final newline."""
+    path = tmp_path / "run.json"
+    written = run_cli(capsys, "run", *argv, "-o", str(path))
+    code, text, err = run_cli(capsys, "run", *argv)
+    assert written == (code, "", err)
+    assert text.endswith("}\n")
+    assert path.read_bytes() == text[:-1].encode("ascii")
+    return text[:-1]
+
+
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
-def test_run_document_is_json_dumps_for_every_config(n):
+def test_run_document_is_json_dumps_for_every_config(n, capsys, tmp_path):
     rng = np.random.default_rng(n)
     messages = sorted({"1" * n, "".join(rng.choice(["0", "1"], size=n))})
     for bits in messages:
-        for flags in (
-            {},
-            {"uncompute_memory": False},
-            {"apply_branch_swap": False},
-            {"amp0": 0.6, "amp1": 0.8},
+        for flags, argv in (
+            ({}, ()),
+            ({"uncompute_memory": False}, ("--no-uncompute",)),
+            ({"apply_branch_swap": False}, ("--no-swap",)),
+            ({"amp0": 0.6, "amp1": 0.8}, ("--amp0", "0.6", "--amp1", "0.8")),
         ):
             run = run_protocol(ProtocolConfig(n=n, **flags), Message(bits))
             text = cli.run_document(run, Message(bits))
             assert text == json_dumps_document(run, Message(bits)), (bits, flags)
+            written = run_cli_document(capsys, tmp_path, "--message", bits, *argv)
+            assert written == text, (bits, flags)
+
+
+def test_run_file_spans_several_zero_blocks(capsys, tmp_path):
+    message = Message("101101")
+    run = run_protocol(ProtocolConfig(n=6), message)
+    assert run.final.dim > 4 * cli.ZERO_BLOCK_ITEMS
+    expected = json_dumps_document(run, message)
+    assert run_cli_document(capsys, tmp_path, "--message", message.bits) == expected
+    # No chunk is longer than the cached zero block, whatever the width.
+    block = cli._item_texts("    ")[1]
+    assert max(len(chunk) for chunk in cli._document_chunks(run, message)) == len(block)
+
+
+@pytest.mark.parametrize("dense", [False, True])
+def test_run_file_keeps_signed_zeros_and_both_ends(dense, capsys, tmp_path, monkeypatch):
+    config = ProtocolConfig(n=2, amp0=0.6, amp1=0.8, apply_branch_swap=False)
+    message = Message("10")
+    run = run_protocol(config, message)
+    layout = run.final.layout
+    support = {  # descending: the file is written in ascending index order
+        layout.dim - 1: 1e-300j,
+        9: -1 / 3,
+        6: 0j,
+        5: complex(-0.0, -0.0),
+        0: -0.0,
+    }
+    state = StateVector(layout, support=support)
+    if dense:
+        state = StateVector(layout, state.amplitudes)
+    odd = ProtocolRun(config, {**run.checkpoints, "eq3": state}, state)
+    expected = json_dumps_document(odd, message)
+    monkeypatch.setattr(cli, "run_protocol", lambda config, message: odd)
+    if not dense:
+
+        def refuse(*args):
+            raise AssertionError("made a dense array")
+
+        monkeypatch.setattr(statevec, "dense_amplitudes", refuse)
+    argv = ("--message", "10", "--amp0", "0.6", "--amp1", "0.8", "--no-swap")
+    assert run_cli_document(capsys, tmp_path, *argv) == expected
+
+
+def test_run_file_is_written_without_the_whole_text(capsys, tmp_path, monkeypatch):
+    message = Message("10110")
+    expected = json_dumps_document(run_protocol(ProtocolConfig(n=5), message), message)
+
+    def refuse(*args):
+        raise AssertionError("built the whole text or a dense array")
+
+    monkeypatch.setattr(cli, "run_document", refuse)
+    monkeypatch.setattr(statevec, "dense_amplitudes", refuse)
+    path = tmp_path / "run.json"
+    code, out, err = run_cli(capsys, "run", "--message", "10110", "-o", str(path))
+    assert (code, out) == (0, "")
+    assert "verdict: success" in err
+    assert path.read_text(encoding="ascii") == expected
 
 
 def test_run_writes_output_file(capsys, tmp_path):
@@ -169,13 +240,29 @@ def test_run_usage_errors_exit_1(capsys):
 
 def test_run_past_the_dense_limit_exits_1(capsys, tmp_path):
     path = tmp_path / "run.json"
-    for output in ([], ["-o", str(path)]):
+    existing = tmp_path / "existing.json"
+    existing.write_bytes(b"kept\n")
+    for output in ([], ["-o", str(path)], ["-o", str(existing)]):
         code, out, err = run_cli(capsys, "run", "--message", "1" * 14, *output)
         assert code == 1
         assert out == ""
         assert err.startswith("error: a dense state of 31 qubits needs 2^31 amplitudes")
         assert len(err.splitlines()) == 1
     assert not path.exists()
+    assert existing.read_bytes() == b"kept\n"
+
+
+@pytest.mark.parametrize("command", ["run", "export"])
+def test_unwritable_output_exits_1(capsys, tmp_path, command):
+    targets = [tmp_path]  # a directory: open fails
+    if os.path.exists("/dev/full"):
+        targets.append("/dev/full")  # open succeeds, the write fails
+    for target in targets:
+        code, out, err = run_cli(capsys, command, "--message", "101", "-o", str(target))
+        assert code == 1
+        assert out == ""
+        assert err.startswith(f"error: cannot write {str(target)!r}: "), err
+        assert len(err.splitlines()) == 1
 
 
 def test_run_branch_table_on_stderr(capsys):
