@@ -17,6 +17,8 @@ import functools
 import itertools
 import json
 import math
+import os
+import stat
 import sys
 from collections.abc import Iterable, Iterator
 
@@ -192,10 +194,33 @@ def run_document(run: ProtocolRun, message: Message) -> str:
     return b"".join(_document_chunks(run, message)).decode("ascii")
 
 
+def _open_in_place(path: str, flags: int) -> int:
+    """open()'s flags for mode "wb" without O_TRUNC."""
+    return os.open(path, flags & ~os.O_TRUNC, 0o666)
+
+
 def _write_chunks(chunks: Iterable[bytes | memoryview], output_path: str) -> None:
+    """Write the chunks to output_path: the one file sink of `run -o` and
+    `export -o`. Any OSError becomes a `cannot write` usage error (exit 1).
+
+    An existing file is overwritten in place from offset 0 and then cut to
+    the written length, not truncated on open: truncating a file of a few
+    MB frees every block before the first byte is written, and costs
+    several times what the rewrite does. After a failure the file is cut at
+    the bytes that reached it, so no tail of the old file is left behind,
+    and it ends as a truncating open would leave it. Only a regular file is
+    cut; /dev/null, FIFOs and ttys ignore O_TRUNC and reject ftruncate.
+    """
     try:
-        with open(output_path, "wb") as handle:
-            handle.writelines(chunks)
+        with open(output_path, "wb", opener=_open_in_place) as handle:
+            try:
+                handle.writelines(chunks)
+                handle.flush()
+            finally:
+                # At the kernel's offset; bytes still buffered after a
+                # failure are flushed past the cut when the file closes.
+                if stat.S_ISREG(os.fstat(handle.fileno()).st_mode):
+                    handle.raw.truncate()
     except OSError as exc:
         raise _UsageError(f"cannot write {output_path!r}: {exc}") from exc
 

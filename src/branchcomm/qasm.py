@@ -23,7 +23,11 @@ from .statevec import (
 
 
 def _gate_lines(op: GateOp, total: int) -> list[str]:
-    """One x or cx per flipped bit, in op.targets order."""
+    """One x or cx per flipped bit, in op.targets order.
+
+    A flip mask with one bit set names its qubit directly, so a transversal
+    CNOT over n pairs does not scan all n targets for each pair.
+    """
     if op.kind is GateKind.H:
         return [f"h q[{op.targets[0]}];"]
     lines = []
@@ -33,9 +37,11 @@ def _gate_lines(op: GateOp, total: int) -> list[str]:
                 f"multi-control {op.kind.value} has no x/h/cx representation"
             )
         head = f"cx q[{total - cmask.bit_length()}], " if cmask else "x "
-        lines.extend(
-            f"{head}q[{t}];" for t in op.targets if fmask >> (total - 1 - t) & 1
-        )
+        if fmask & (fmask - 1):
+            flipped = [t for t in op.targets if fmask >> (total - 1 - t) & 1]
+        else:  # one bit or none, as in every pair of a transversal CNOT
+            flipped = [total - fmask.bit_length()] if fmask else []
+        lines.extend(f"{head}q[{t}];" for t in flipped)
     return lines
 
 

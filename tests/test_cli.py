@@ -1,3 +1,4 @@
+import errno
 import json
 import math
 import os
@@ -12,8 +13,10 @@ from branchcomm.protocol import (
     Message,
     ProtocolConfig,
     ProtocolRun,
+    build_protocol_circuit,
     run_protocol,
 )
+from branchcomm.qasm import to_qasm
 from branchcomm.statevec import StateVector
 
 SQRT_HALF = math.sqrt(0.5)
@@ -263,6 +266,71 @@ def test_unwritable_output_exits_1(capsys, tmp_path, command):
         assert out == ""
         assert err.startswith(f"error: cannot write {str(target)!r}: "), err
         assert len(err.splitlines()) == 1
+
+
+def document_bytes(bits):
+    """The default `run` document of a message, as json.dumps writes it."""
+    message = Message(bits)
+    run = run_protocol(ProtocolConfig(n=message.n), message)
+    return json_dumps_document(run, message).encode("ascii")
+
+
+def test_run_over_a_longer_file_leaves_no_tail(capsys, tmp_path):
+    path = tmp_path / "run.json"
+    for bits in ("101101", "1"):
+        code, out, _ = run_cli(capsys, "run", "--message", bits, "-o", str(path))
+        assert (code, out) == (0, "")
+        assert path.read_bytes() == document_bytes(bits), bits
+
+
+def test_run_same_length_rewrite_with_another_message(capsys, tmp_path):
+    path = tmp_path / "run.json"
+    old, new = document_bytes("10110"), document_bytes("01001")
+    assert len(old) == len(new) and old != new
+    path.write_bytes(old)
+    path.chmod(0o600)
+    code, _, err = run_cli(capsys, "run", "--message", "01001", "-o", str(path))
+    assert code == 0
+    assert "receiver paper reads '01001'" in err
+    assert path.read_bytes() == new
+    assert path.stat().st_mode & 0o777 == 0o600
+
+
+def test_run_through_a_symlink_rewrites_its_target(capsys, tmp_path):
+    target = tmp_path / "target.json"
+    target.write_bytes(document_bytes("1111"))
+    link = tmp_path / "link.json"
+    link.symlink_to(target)
+    code, _, _ = run_cli(capsys, "run", "--message", "10", "-o", str(link))
+    assert code == 0
+    assert link.is_symlink() and os.readlink(link) == str(target)
+    assert target.read_bytes() == document_bytes("10")
+
+
+def test_run_to_the_null_device(capsys):
+    code, out, err = run_cli(capsys, "run", "--message", "101", "-o", os.devnull)
+    assert (code, out) == (0, "")
+    assert "verdict: success, receiver paper reads '101'" in err
+
+
+@pytest.mark.parametrize("head_size", [8, 3 * 8192])
+def test_failed_write_leaves_what_reached_the_file(tmp_path, head_size):
+    # A short head is still buffered when the write fails, a long one has
+    # reached the file; either way nothing of the old file may follow it.
+    path = tmp_path / "out.json"
+    path.write_bytes(b"o" * (head_size + 3000))
+    head = (b"new-head" * head_size)[:head_size]
+
+    def chunks():
+        yield head
+        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+    with pytest.raises(cli._UsageError) as failure:
+        cli._write_chunks(chunks(), str(path))
+    assert str(failure.value) == (
+        f"cannot write {str(path)!r}: [Errno {errno.ENOSPC}] {os.strerror(errno.ENOSPC)}"
+    )
+    assert path.read_bytes() == head
 
 
 def test_run_branch_table_on_stderr(capsys):
@@ -580,6 +648,15 @@ def test_export_writes_output_file(capsys, tmp_path):
     assert code == 0
     assert out == ""
     assert path.read_text().startswith("OPENQASM 2.0;")
+
+
+def test_export_over_a_run_document(capsys, tmp_path):
+    path = tmp_path / "out"
+    path.write_bytes(document_bytes("101"))
+    code, out, _ = run_cli(capsys, "export", "--message", "101", "-o", str(path))
+    assert (code, out) == (0, "")
+    circuit = build_protocol_circuit(ProtocolConfig(n=3), Message("101"))
+    assert path.read_bytes() == to_qasm(circuit).encode("ascii")
 
 
 def test_unknown_subcommand_exits_1(capsys):

@@ -163,6 +163,16 @@ def test_multi_control_encoder_is_outside_the_dialect():
         to_qasm(Circuit(layout, (op,)))
 
 
+def test_wide_export_has_one_line_per_flipped_bit():
+    # Two transversal CNOTs over 4096 pairs each: one cx line per pair.
+    n = 4096
+    message = Message("10" * (n // 2))
+    text = to_qasm(build_protocol_circuit(ProtocolConfig(n=n), message))
+    weight = message.bits.count("1")
+    assert gate_histogram(text) == {"h": 1, "x": 3, "cx": 2 + weight + 2 * n}
+    assert len(text.splitlines()) == 3 + 1 + 3 + 2 + weight + 2 * n
+
+
 def test_random_x_h_cx_circuits_round_trip():
     rng = np.random.default_rng(2024)
     for trial in range(150):
