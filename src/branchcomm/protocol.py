@@ -9,29 +9,35 @@ exchanges Q, R, and F between the two branches while leaving the paper
 alone. The outcome-0 friend ends up holding a paper that reads mu, in a
 branch whose memory and records carry no trace of who wrote it.
 
-Circuit columns, in order, on the canonical layout Q(1) R(1) F(1) M(n) P(n):
+Circuit columns, in order, on the layout Q(1) R(1) F(k) M(n) P(n), for a
+friend resting in snapshot friend0 and steered to friend1 when Q=1 (the
+paper's circuit is the default, k = 1 and "0" -> "1"):
 
     1. Q preparation realizing amp0|0> + amp1|1>        -> checkpoint eq1
-    2. CNOT Q -> F          (friend measures Q)         -> checkpoint eq2
-    3. CNOT F -> R          (room records the outcome)  -> checkpoint eq3
-    4. ENCODE_MU on M, controlled on F                  -> checkpoint eq4
+    2. MULTI_X on the 1-bits of friend0 (friend rest, if any), then
+       CNOT Q -> F_i where the snapshots differ (steering) -> checkpoint eq2
+    3. CNOT C -> R          (room records the outcome)  -> checkpoint eq3
+    4. ENCODE_MU on M, controlled on C                  -> checkpoint eq4
     5. TRANSVERSAL_CNOT M -> P  (message to paper)      -> checkpoint eq5
     6. TRANSVERSAL_CNOT P -> M  (memory uncompute)      -> checkpoint eq6
-    7. MULTI_X on {Q, R, F}     (partial branch swap)   -> checkpoint eq8
+    7. MULTI_X on Q, R, steered F_i (partial branch swap) -> checkpoint eq8
 
-Label eq7 is reserved for the swap operation itself rather than a state, so
-no checkpoint carries it. Column 6 is skipped when uncompute_memory is
-false, column 7 when apply_branch_swap is false; their checkpoint labels
-disappear with them and the final state is then the last recorded one.
+C, the first friend qubit steered from 0 to 1 (else Q), reads 1 exactly in
+the Q=1 branch; a qubit steered from 1 to 0 would fire in the Q=0 branch.
+eq2 marks the last op before column 3. Label eq7 is reserved for the swap
+operation itself rather than a state, so no checkpoint carries it. Column 6
+is skipped when uncompute_memory is false, column 7 when apply_branch_swap
+is false; their checkpoint labels disappear with them and the final state is
+then the last recorded one.
 
 Only column 4 depends on mu, and only column 1 on the amplitudes. The other
-columns, the layout and the checkpoint table are built once per
-(n, uncompute_memory, apply_branch_swap) and shared by every circuit with
-that key, so the ops Theorem 1 requires to be message-independent are the
-same objects for every message. Column 1 is built per call and never
-cached: ProtocolConfig(amp1=0.0) == ProtocolConfig(amp1=-0.0), yet the
-first prepares with RY(0.0) and the second with RY(-0.0), and the JSON
-export prints that sign.
+columns, the layout and the checkpoint table are built once per (n, friend0,
+friend1, uncompute_memory, apply_branch_swap) and shared by every circuit
+with that key, so the ops Theorem 1 requires to be message-independent are
+the same objects for every message. Column 1 is built per call and never
+cached: ProtocolConfig(amp1=0.0) == ProtocolConfig(amp1=-0.0), yet the first
+prepares with RY(0.0) and the second with RY(-0.0), and the JSON export
+prints that sign.
 """
 
 from __future__ import annotations
@@ -124,12 +130,12 @@ class ProtocolRun:
 class _SharedParts(NamedTuple):
     """Everything in the transfer circuit that depends on neither mu nor the
     amplitudes: the layout, the qubits the preparation op and the encoder
-    act on, the two record CNOTs, the ops after the encoder, and the
+    act on, the ops between the two, the ops after the encoder, and the
     checkpoint table."""
 
     layout: RegisterLayout
     q: int
-    f: int
+    control: int
     m: tuple[int, ...]
     records: tuple[GateOp, ...]
     tail: tuple[GateOp, ...]
@@ -137,29 +143,46 @@ class _SharedParts(NamedTuple):
 
 
 @lru_cache(maxsize=128)
-def _shared_parts(n: int, uncompute_memory: bool, apply_branch_swap: bool) -> _SharedParts:
-    layout = protocol_layout(n)
-    q, r, f = layout.offset("Q"), layout.offset("R"), layout.offset("F")
+def _shared_parts(
+    n: int, friend0: str, friend1: str, uncompute_memory: bool, apply_branch_swap: bool
+) -> _SharedParts:
+    for bits in (friend0, friend1):
+        check_bits(bits, "snapshot")
+    if len(friend0) != len(friend1):
+        raise ValueError(f"snapshot widths differ: {len(friend0)} != {len(friend1)}")
+    layout = protocol_layout(n, friend_width=len(friend0))
+    q, r = layout.offset("Q"), layout.offset("R")
     m, p = layout.qubits("M"), layout.qubits("P")
-    tail = [GateOp.transversal_cnot(m, p)]  # op 4 onwards
-    checkpoints = [(0, "eq1"), (1, "eq2"), (2, "eq3"), (3, "eq4"), (4, "eq5")]
+    friend = list(zip(layout.qubits("F"), friend0, friend1))
+    rest = tuple(f for f, a, _ in friend if a == "1")
+    steered = tuple(f for f, a, b in friend if a != b)
+    # A qubit steered from 0 to 1 reads 1 in the Q=1 branch only.
+    control = next((f for f, a, b in friend if a < b), q)
+    records = [GateOp.multi_x(rest)] if rest else []
+    records += [GateOp.cnot(q, f) for f in steered] + [GateOp.cnot(control, r)]
+    e = 1 + len(records)  # the encoder's index
+    tail = [GateOp.transversal_cnot(m, p)]
+    checkpoints = [(0, "eq1"), (e - 2, "eq2"), (e - 1, "eq3"), (e, "eq4"), (e + 1, "eq5")]
     if uncompute_memory:
         tail.append(GateOp.transversal_cnot(p, m))
-        checkpoints.append((3 + len(tail), "eq6"))
+        checkpoints.append((e + len(tail), "eq6"))
     if apply_branch_swap:
-        tail.append(GateOp.multi_x((q, r, f)))
-        checkpoints.append((3 + len(tail), "eq8"))
-    records = (GateOp.cnot(q, f), GateOp.cnot(f, r))
-    return _SharedParts(layout, q, f, m, records, tuple(tail), tuple(checkpoints))
+        tail.append(GateOp.multi_x((q, r, *steered)))
+        checkpoints.append((e + len(tail), "eq8"))
+    return _SharedParts(
+        layout, q, control, m, tuple(records), tuple(tail), tuple(checkpoints)
+    )
 
 
 def build_protocol_circuit(
-    config: ProtocolConfig, message: Message | None = None
+    config: ProtocolConfig, message: Message | None = None,
+    friend0: str = "0", friend1: str = "1",
 ) -> Circuit:
     """Assemble the transfer circuit for a configuration.
 
     The ENCODE_MU payload is taken from `message`; with no message given the
     payload is blank, which keeps the circuit shape while writing nothing.
+    The friend rests in `friend0` and is steered to `friend1` when Q=1.
     Only the preparation op and the encoder are built per call.
     """
     n = config.n
@@ -167,20 +190,20 @@ def build_protocol_circuit(
         raise ValueError(f"message width {message.n} != configured width {n}")
     payload = message.bits if message is not None else "0" * n
 
-    parts = _shared_parts(n, bool(config.uncompute_memory), bool(config.apply_branch_swap))
+    parts = _shared_parts(
+        n, friend0, friend1, bool(config.uncompute_memory), bool(config.apply_branch_swap)
+    )
     if abs(config.amp0 - config.amp1) <= AMP_TOL:
         prep = GateOp.h(parts.q)
     else:
         prep = GateOp.ry(2.0 * math.atan2(config.amp1, config.amp0), parts.q)
-    encoder = GateOp.encode(payload, parts.m, control=parts.f)
+    encoder = GateOp.encode(payload, parts.m, control=parts.control)
     ops = (prep, *parts.records, encoder, *parts.tail)
     return Circuit(parts.layout, ops, parts.checkpoints)
 
 
 def run_protocol(config: ProtocolConfig, message: Message) -> ProtocolRun:
     """Evolve the all-zero state through the transfer circuit."""
-    if message.n != config.n:
-        raise ValueError(f"message width {message.n} != configured width {config.n}")
     circuit = build_protocol_circuit(config, message)
     final, snapshots = apply_circuit(zero_state(circuit.layout), circuit)
     return ProtocolRun(config, snapshots, final)

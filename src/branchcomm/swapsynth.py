@@ -2,8 +2,9 @@
 
 When the two branch-resident friends differ in k-qubit snapshots f0 and f1,
 the partial branch swap needs an X on exactly the bits where the snapshots
-disagree. The cost of the swap is therefore the Hamming distance between
-the snapshots; identical snapshots ("twins") swap for free.
+disagree, so its cost is their Hamming distance; identical snapshots
+("twins") swap for free. The demo runs build_protocol_circuit's circuit,
+whose record and encoder sit on a friend qubit or on Q, never on R.
 """
 
 from __future__ import annotations
@@ -11,15 +12,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .branches import TransferVerdict, evaluate_transfer
-from .protocol import Message
+from .protocol import Message, ProtocolConfig, build_protocol_circuit
 from .statevec import (
-    Circuit,
     GateOp,
     StateVector,
     apply_circuit,
     apply_gate,
     check_bits,
-    protocol_layout,
     zero_state,
 )
 
@@ -104,38 +103,15 @@ def wide_friend_protocol_demo(
 ) -> TransferVerdict:
     """Full transfer between branches whose friends hold arbitrary snapshots.
 
-    Layout Q(1) R(1) F(k) M(n) P(n). The friend register is prepared in
-    friend0 and steered to friend1 in the Q=1 branch, the room record is
-    set from Q, the message is written and uncomputed in the R=1 branch,
-    and the final swap block applies X to Q, R, and the synthesized friend
-    positions. Identical snapshots need no friend X at all.
+    build_protocol_circuit rests the friend in friend0 and steers it to
+    friend1 when Q=1; the record and the encoder are controlled on the first
+    qubit steered from 0 to 1 (else on Q), and the swap applies X to Q, R and
+    the synthesize_swap positions, none for identical snapshots.
     """
-    if friend0.width != friend1.width:
-        raise ValueError(
-            f"snapshot widths differ: {friend0.width} != {friend1.width}"
-        )
-    plan = synthesize_swap(friend0, friend1)
-    layout = protocol_layout(message.n, friend_width=friend0.width)
-    q = layout.offset("Q")
-    r = layout.offset("R")
-    f = layout.qubits("F")
-    m = layout.qubits("M")
-    p = layout.qubits("P")
-
-    ops: list[GateOp] = [GateOp.h(q)]
-    rest_targets = tuple(f[i] for i, bit in enumerate(friend0.bits) if bit == "1")
-    if rest_targets:
-        ops.append(GateOp.multi_x(rest_targets))
-    for position in plan.x_positions:
-        ops.append(GateOp.cnot(q, f[position - 1]))
-    ops.append(GateOp.cnot(q, r))
-    ops.append(GateOp.encode(message.bits, m, control=r))
-    ops.append(GateOp.transversal_cnot(m, p))
-    ops.append(GateOp.transversal_cnot(p, m))
-    swap_targets = (q, r) + tuple(f[position - 1] for position in plan.x_positions)
-    ops.append(GateOp.multi_x(swap_targets))
-
-    final, _ = apply_circuit(zero_state(layout), Circuit(layout, tuple(ops)))
+    circuit = build_protocol_circuit(
+        ProtocolConfig(n=message.n), message, friend0.bits, friend1.bits
+    )
+    final, _ = apply_circuit(zero_state(circuit.layout), circuit)
     return evaluate_transfer(
         final, message, receiver_friend=friend0.bits, sender_friend=friend1.bits
     )

@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import math
 
 import numpy as np
@@ -101,16 +102,23 @@ def test_variant_circuits_drop_their_columns():
         ProtocolConfig(n=1, uncompute_memory=False, apply_branch_swap=False)
     )
     assert prefix.gate_count == 5
-    assert [label for _, label in prefix.checkpoints] == [
-        "eq1", "eq2", "eq3", "eq4", "eq5"
-    ]
+    assert prefix.checkpoints == (
+        (0, "eq1"), (1, "eq2"), (2, "eq3"), (3, "eq4"), (4, "eq5")
+    )
     no_uncompute = build_protocol_circuit(
         ProtocolConfig(n=1, uncompute_memory=False)
     )
     assert no_uncompute.gate_count == 6
     assert no_uncompute.ops[-1].kind is GateKind.MULTI_X
-    labels = [label for _, label in no_uncompute.checkpoints]
-    assert "eq6" not in labels and "eq8" in labels
+    assert no_uncompute.checkpoints == (
+        (0, "eq1"), (1, "eq2"), (2, "eq3"), (3, "eq4"), (4, "eq5"), (5, "eq8")
+    )
+    no_swap = build_protocol_circuit(ProtocolConfig(n=1, apply_branch_swap=False))
+    assert no_swap.gate_count == 6
+    assert no_swap.ops[-1].kind is GateKind.TRANSVERSAL_CNOT
+    assert no_swap.checkpoints == (
+        (0, "eq1"), (1, "eq2"), (2, "eq3"), (3, "eq4"), (4, "eq5"), (5, "eq6")
+    )
 
 
 def test_transversal_pairing_n3():
@@ -190,6 +198,38 @@ def test_negative_zero_amplitude_keeps_its_sign():
     negative = build_protocol_circuit(ProtocolConfig(n=1, amp0=1.0, amp1=-0.0))
     assert math.copysign(1, positive.ops[0].angle) == 1
     assert math.copysign(1, negative.ops[0].angle) == -1
+
+
+def test_wide_friend_ops_are_message_independent():
+    """Theorem 1's op comparison, run on the wide-friend circuits."""
+    compared = 0
+    for width in (1, 2):
+        snapshots = ["".join(bits) for bits in itertools.product("01", repeat=width)]
+        for f0, f1 in itertools.product(snapshots, repeat=2):
+            for n in (1, 2, 3):
+                config = ProtocolConfig(n=n)
+                base = build_protocol_circuit(config, None, f0, f1)
+                for message in all_messages(n):
+                    circuit = build_protocol_circuit(config, message, f0, f1)
+                    assert circuit.checkpoints == base.checkpoints
+                    assert len(circuit.ops) == len(base.ops)
+                    for op, base_op in zip(circuit.ops, base.ops):
+                        if op.kind is GateKind.ENCODE_MU:
+                            assert op.payload == message.bits
+                            continue
+                        assert op == base_op, (f0, f1, message.bits, op)
+                        compared += 1
+    assert compared > 0
+
+
+def test_builder_rejects_malformed_snapshots():
+    config = ProtocolConfig(n=1)
+    with pytest.raises(ValueError, match="snapshot widths differ: 2 != 3"):
+        build_protocol_circuit(config, Message("1"), "01", "011")
+    with pytest.raises(ValueError, match="snapshot must be a nonempty string"):
+        build_protocol_circuit(config, Message("1"), "0a", "01")
+    with pytest.raises(ValueError, match="snapshot must be a nonempty string"):
+        build_protocol_circuit(config, Message("1"), "01", "")
 
 
 def test_blank_payload_default_and_width_mismatch():

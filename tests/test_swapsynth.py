@@ -3,8 +3,8 @@ import itertools
 import numpy as np
 import pytest
 
-from branchcomm.protocol import Message
-from branchcomm.statevec import RegisterLayout, StateVector, make_basis_state
+from branchcomm.protocol import Message, ProtocolConfig, build_protocol_circuit
+from branchcomm.statevec import GateKind, RegisterLayout, StateVector, make_basis_state
 from branchcomm.swapsynth import (
     FriendSnapshot,
     SwapPlan,
@@ -174,3 +174,61 @@ def test_wide_demo_exhaustive_small_widths():
                     runs += 1
                     assert verdict.success, (f0, f1, n, value, verdict.failure_reason)
     assert runs == (4 + 16 + 64) * (2 + 4)
+
+
+def _record_encoder_and_swap(f0, f1):
+    """The record CNOT, the encoder and the final MULTI_X of a wide circuit."""
+    circuit = build_protocol_circuit(ProtocolConfig(n=2), Message("10"), f0, f1)
+    r = circuit.layout.offset("R")
+    (record,) = [op for op in circuit.ops if op.targets == (r,)]
+    (encoder,) = [op for op in circuit.ops if op.kind is GateKind.ENCODE_MU]
+    return circuit.layout, record, encoder, circuit.ops[-1]
+
+
+def test_wide_circuit_control_rule_and_swap_follow_the_plan():
+    checked = 0
+    for width in (1, 2, 3):
+        snapshots = ["".join(bits) for bits in itertools.product("01", repeat=width)]
+        for f0, f1 in itertools.product(snapshots, repeat=2):
+            layout, record, encoder, swap = _record_encoder_and_swap(f0, f1)
+            q, f = layout.offset("Q"), layout.qubits("F")
+            rising = [i for i in range(width) if f0[i] == "0" and f1[i] == "1"]
+            control = f[rising[0]] if rising else q
+            assert record.kind is GateKind.CNOT
+            assert record.controls == (control,), (f0, f1)
+            assert encoder.controls == (control,), (f0, f1)
+            plan = synthesize_swap(FriendSnapshot(f0), FriendSnapshot(f1))
+            assert swap.kind is GateKind.MULTI_X
+            assert swap.targets == (q, layout.offset("R")) + tuple(
+                f[position - 1] for position in plan.x_positions
+            ), (f0, f1)
+            checked += 1
+    assert checked == 4 + 16 + 64
+
+
+def test_friend_steered_from_one_to_zero_does_not_control():
+    layout, record, encoder, swap = _record_encoder_and_swap("1", "0")
+    q, f = layout.offset("Q"), layout.offset("F")
+    assert record.controls == encoder.controls == (q,)
+    assert swap.targets == (q, layout.offset("R"), f)
+    verdict = wide_friend_protocol_demo(
+        FriendSnapshot("1"), FriendSnapshot("0"), Message("1")
+    )
+    assert verdict.success, verdict.failure_reason
+    assert verdict.receiver_paper == "1"
+
+
+def test_wide_circuit_checkpoint_indices_follow_the_ops():
+    labels = ("eq1", "eq2", "eq3", "eq4", "eq5", "eq6", "eq8")
+    cases = {
+        # rest MULTI_X at 1, steering CNOTs at 2-4, record at 5
+        ("0101110101", "1101100100"): (0, 4, 5, 6, 7, 8, 9),
+        ("1011", "1011"): (0, 1, 2, 3, 4, 5, 6),  # rest only, no steering
+        ("0", "0"): (0, 0, 1, 2, 3, 4, 5),  # nothing between prep and record
+        ("10", "01"): (0, 3, 4, 5, 6, 7, 8),
+    }
+    for (f0, f1), indices in cases.items():
+        circuit = build_protocol_circuit(ProtocolConfig(n=1), Message("1"), f0, f1)
+        assert circuit.checkpoints == tuple(zip(indices, labels)), (f0, f1)
+        assert circuit.ops[indices[2]].targets == (circuit.layout.offset("R"),)
+        assert circuit.ops[indices[3]].kind is GateKind.ENCODE_MU
