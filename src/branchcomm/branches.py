@@ -48,32 +48,26 @@ class Branch:
         return dense_amplitudes(self.layout, self.indices, self.values)
 
 
-def _register_field(layout: RegisterLayout, register: str) -> tuple[int, int]:
-    """(shift, mask) that read a register's value out of a global index."""
-    width = layout.width(register)
-    return layout.total_qubits - layout.offset(register) - width, (1 << width) - 1
-
-
 def _register_blocks(state: StateVector, register: str) -> np.ndarray:
     """A dense-held state's array viewed as (higher bits, register value,
     lower bits), so [:, value, :] is the component where the register reads
     `value`, in ascending index order."""
-    shift, mask = _register_field(state.layout, register)
+    shift, mask = state.layout.field(register)
     return state.amplitudes.reshape(-1, mask + 1, 1 << shift)
 
 
 def _groups(
     state: StateVector, register: str
-) -> list[tuple[int, Sequence[int], Sequence[complex], Sequence[int]]]:
-    """(register value, indices, amplitudes, live) per register value that
-    holds a nonzero entry, values ascending.
+) -> list[tuple[Sequence[int], Sequence[complex], Sequence[int]]]:
+    """(indices, amplitudes, live) per register value that holds a nonzero
+    entry, values ascending.
 
     `indices` and `amplitudes` list the group's nonzero entries in ascending
     index order; `live` gives the positions in them of the amplitudes above
     ZERO_TOL. A support-held state is grouped entry by entry; a dense-held
     state is split by _register_blocks, with no per-entry Python loop.
     """
-    shift, mask = _register_field(state.layout, register)
+    shift, mask = state.layout.field(register)
     if not state.dense_held:
         groups: dict[int, tuple[list[int], list[complex]]] = {}
         for index, amp in state.nonzero_items():
@@ -81,8 +75,8 @@ def _groups(
             indices.append(index)
             amps.append(amp)
         return [
-            (value, indices, amps, [k for k, a in enumerate(amps) if abs(a) > ZERO_TOL])
-            for value, (indices, amps) in sorted(groups.items())
+            (indices, amps, [k for k, a in enumerate(amps) if abs(a) > ZERO_TOL])
+            for _, (indices, amps) in sorted(groups.items())
         ]
     blocks = _register_blocks(state, register)
     high = shift + mask.bit_length()
@@ -93,7 +87,7 @@ def _groups(
         pos = np.flatnonzero(block)
         indices = ((pos >> shift) << high) | (value << shift) | (pos & low_mask)
         amps = block[pos]
-        out.append((value, indices, amps, np.flatnonzero(np.abs(amps) > ZERO_TOL)))
+        out.append((indices, amps, np.flatnonzero(np.abs(amps) > ZERO_TOL)))
     return out
 
 
@@ -104,9 +98,8 @@ def decompose_by_register(state: StateVector, register: str) -> list[Branch]:
     register's bit-strings, in ascending value order.
     """
     layout = state.layout
-    width = layout.width(register)
     branches: list[Branch] = []
-    for value, indices, amps, live in _groups(state, register):
+    for indices, amps, live in _groups(state, register):
         if not len(live):
             continue
         if len(live) == 1:
@@ -115,26 +108,19 @@ def decompose_by_register(state: StateVector, register: str) -> list[Branch]:
         else:
             amplitude = complex(l2_norm(amps))
             local_state = None
-        branches.append(
-            Branch(
-                format(value, f"0{width}b"), amplitude, local_state, layout, indices, amps
-            )
-        )
+        label = layout.value_of(int(indices[0]), register)
+        branches.append(Branch(label, amplitude, local_state, layout, indices, amps))
     return branches
 
 
 def register_component_magnitude(state: StateVector, register: str, bits: str) -> float:
     """L2 weight of the component where `register` reads exactly `bits`."""
-    layout = state.layout
-    width = layout.width(register)
-    if len(bits) != width:
-        raise ValueError(f"register {register!r} expects {width} bits, got {len(bits)}")
-    value = int(bits, 2)
+    value = state.layout.value_for(register, bits)
     if state.dense_held:
         # The zeros in the block add +0.0 to each running sum, which leaves
         # it unchanged, so this equals the sum over the nonzero entries.
         return l2_norm(_register_blocks(state, register)[:, value, :].reshape(-1))
-    shift, mask = _register_field(layout, register)
+    shift, mask = state.layout.field(register)
     return l2_norm(
         amp for index, amp in state.nonzero_items() if (index >> shift) & mask == value
     )
@@ -186,12 +172,17 @@ def evaluate_transfer(
     memory, friend in the expected rest value, and Q = 0, and the R=1 branch
     holding blank paper and cleared memory. Friend expectations default to
     all-zeros for the receiver; the sender's friend value is only checked
-    when given. failure_reason names the first violated clause.
+    when given. A given friend value is parsed by layout.value_for, so a
+    malformed one raises ValueError. failure_reason names the first violated
+    clause.
     """
     layout = final.layout
     n = layout.width("M")
     if message.n != n:
         raise ValueError(f"message width {message.n} != memory width {n}")
+    for friend in (receiver_friend, sender_friend):
+        if friend is not None:
+            layout.value_for("F", friend)
     if receiver_friend is None:
         receiver_friend = "0" * layout.width("F")
     zeros = "0" * n

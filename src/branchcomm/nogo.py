@@ -90,24 +90,17 @@ def construct_G(mu: Message) -> MemoryPreservingSwapG:
     return MemoryPreservingSwapG(mu, dim, matrix)
 
 
-def run_no_uncompute_variant(
-    message: Message, apply_swap: bool = True
-) -> tuple[StateVector, TransferVerdict | None]:
-    """Run the protocol without the memory uncompute column.
+def run_no_uncompute_variant(message: Message) -> tuple[StateVector, TransferVerdict]:
+    """Run the protocol, branch swap included, without the memory uncompute.
 
-    Returns the final state and, when the swap is applied, the (failing)
-    transfer verdict; with the swap disabled there is nothing to judge and
-    the verdict is None. Blank messages are rejected as vacuous: with
-    nothing written, skipping the uncompute changes nothing.
+    Returns the final state and its (failing) transfer verdict. Blank
+    messages are rejected as vacuous: with nothing written, skipping the
+    uncompute changes nothing.
     """
     if message.blank:
         raise ValueError("the no-uncompute variant is vacuous for a blank message")
-    config = ProtocolConfig(
-        n=message.n, uncompute_memory=False, apply_branch_swap=apply_swap
-    )
-    run = run_protocol(config, message)
-    verdict = verify_transfer(run, message) if apply_swap else None
-    return run.final, verdict
+    run = run_protocol(ProtocolConfig(n=message.n, uncompute_memory=False), message)
+    return run.final, verify_transfer(run, message)
 
 
 def witness_mu_dependence(n: int) -> ClaimReport:

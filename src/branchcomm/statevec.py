@@ -38,6 +38,7 @@ from __future__ import annotations
 import cmath
 import enum
 import math
+import operator
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from typing import Iterable, Mapping, Sequence
@@ -74,14 +75,23 @@ def check_bits(bits: str, what: str) -> str:
     return bits
 
 
+def _integer(value: object, what: str) -> int:
+    """value as an int if it is integral (numpy integers too), else ValueError."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ValueError(f"{what} must be an integer, got {value!r}") from None
+
+
 @dataclass(frozen=True)
 class RegisterLayout:
-    """Named, ordered qubit registers packed into one global index space."""
+    """Named, ordered qubit registers packed into one global index space, and
+    the one reader of register fields (field, value_of) and values (value_for)."""
 
     registers: tuple[tuple[str, int], ...]
 
     def __post_init__(self) -> None:
-        regs = tuple((str(name), int(width)) for name, width in self.registers)
+        regs = tuple((str(n), _integer(w, f"register {n!r} width")) for n, w in self.registers)
         object.__setattr__(self, "registers", regs)
         seen: set[str] = set()
         for name, width in regs:
@@ -94,12 +104,12 @@ class RegisterLayout:
             seen.add(name)
 
     @cached_property
-    def _offsets(self) -> dict[str, tuple[int, int]]:
-        table: dict[str, tuple[int, int]] = {}
+    def _offsets(self) -> dict[str, tuple[int, int, int, int]]:
+        table: dict[str, tuple[int, int, int, int]] = {}  # (offset, width, shift, mask)
         pos = 0
         for name, width in self.registers:
-            table[name] = (pos, width)
             pos += width
+            table[name] = (pos - width, width, self.total_qubits - pos, (1 << width) - 1)
         return table
 
     @cached_property
@@ -114,7 +124,7 @@ class RegisterLayout:
     def names(self) -> tuple[str, ...]:
         return tuple(name for name, _ in self.registers)
 
-    def _entry(self, name: str) -> tuple[int, int]:
+    def _entry(self, name: str) -> tuple[int, int, int, int]:
         try:
             return self._offsets[name]
         except KeyError:
@@ -129,8 +139,19 @@ class RegisterLayout:
 
     def qubits(self, name: str) -> tuple[int, ...]:
         """Global qubit positions of the register, most significant first."""
-        off, width = self._entry(name)
+        off, width, *_ = self._entry(name)
         return tuple(range(off, off + width))
+
+    def field(self, name: str) -> tuple[int, int]:
+        """(shift, mask) such that (index >> shift) & mask is the register's value."""
+        return self._entry(name)[2:]
+
+    def value_for(self, name: str, bits: str) -> int:
+        """A register's bit-string as an int; a malformed or wrong-width one raises."""
+        width = self.width(name)
+        if len(check_bits(bits, f"register {name!r} value")) != width:
+            raise ValueError(f"register {name!r} expects {width} bits, got {len(bits)}")
+        return int(bits, 2)
 
     def index_for(self, assignment: Mapping[str, str]) -> int:
         """Global basis index of a full classical assignment."""
@@ -141,19 +162,13 @@ class RegisterLayout:
         for name, width in self.registers:
             if name not in assignment:
                 raise ValueError(f"assignment missing register {name!r}")
-            bits = check_bits(assignment[name], f"register {name!r} value")
-            if len(bits) != width:
-                raise ValueError(
-                    f"register {name!r} expects {width} bits, got {len(bits)}"
-                )
-            index = (index << width) | int(bits, 2)
+            index = (index << width) | self.value_for(name, assignment[name])
         return index
 
     def value_of(self, index: int, name: str) -> str:
         """Bit-string held by one register at a global basis index."""
-        off, width = self._entry(name)
-        shift = self.total_qubits - off - width
-        return format((index >> shift) & ((1 << width) - 1), f"0{width}b")
+        _, width, shift, mask = self._entry(name)
+        return format((index >> shift) & mask, f"0{width}b")
 
     def assignment_of(self, index: int) -> dict[str, str]:
         if not 0 <= index < self.dim:
@@ -266,12 +281,12 @@ class StateVector:
             dim = self.layout.dim
             support = {}
             for index, amp in self._support.items():
-                amp = complex(amp)
+                index, amp = _integer(index, "basis index"), complex(amp)
                 if not 0 <= index < dim:
                     raise ValueError(f"basis index {index} out of range for dim {dim}")
                 if not cmath.isfinite(amp):
                     raise ValueError("amplitudes must be finite")
-                support[int(index)] = amp
+                support[index] = amp
             object.__setattr__(self, "_support", support)
             return
         arr = np.asarray(self._dense, dtype=np.complex128)
@@ -395,8 +410,8 @@ class GateOp:
     angle: float | None = None
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "targets", tuple(int(t) for t in self.targets))
-        object.__setattr__(self, "controls", tuple(int(c) for c in self.controls))
+        object.__setattr__(self, "targets", tuple(_integer(t, "qubit") for t in self.targets))
+        object.__setattr__(self, "controls", tuple(_integer(c, "qubit") for c in self.controls))
         object.__setattr__(self, "_valid_for", set())
         object.__setattr__(self, "_pairs_for", {})
 
@@ -509,9 +524,8 @@ class Circuit:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "ops", tuple(self.ops))
-        object.__setattr__(
-            self, "checkpoints", tuple((int(i), str(l)) for i, l in self.checkpoints)
-        )
+        checkpoints = tuple((_integer(i, "checkpoint op index"), str(l)) for i, l in self.checkpoints)
+        object.__setattr__(self, "checkpoints", checkpoints)
         for op in self.ops:
             op.validate(self.layout)
         labels = [label for _, label in self.checkpoints]

@@ -85,6 +85,65 @@ MUTANTS = (
         "return at_support ==",
         ("tests/test_statevec.py::test_mixed_form_fidelity_and_equality_read_the_support",),
     ),
+    Mutant(
+        "mixed-form fidelity summed in descending index order",
+        "branchcomm/statevec.py",
+        "for x, y in _common_nonzero(a, b)), 0j)",
+        "for x, y in reversed(_common_nonzero(a, b))), 0j)",
+        ("tests/test_statevec.py::test_mixed_form_fidelity_and_equality_read_the_support",),
+    ),
+    Mutant(
+        "dense listed_items drops signed zeros",
+        "branchcomm/statevec.py",
+        "idx = np.flatnonzero(bits[0::2] | bits[1::2])",
+        "idx = np.flatnonzero(self._dense)",
+        (
+            "tests/test_statevec.py::test_listed_items_keep_signed_zeros",
+            "tests/test_cli.py::test_run_document_keeps_signed_zeros_and_both_ends[True]",
+        ),
+    ),
+    Mutant(
+        "validation remembered regardless of width",
+        "branchcomm/statevec.py",
+        "if total in self._valid_for:",
+        "if self._valid_for:",
+        ("tests/test_statevec.py::test_gateop_remembers_only_passed_validation_per_width",),
+    ),
+    Mutant(
+        "dense branch indices rebuilt one bit too low",
+        "branchcomm/branches.py",
+        "indices = ((pos >> shift) << high) |",
+        "indices = ((pos >> shift) << (high - 1)) |",
+        ("tests/test_branches.py::test_dense_and_support_held_states_decompose_alike",),
+    ),
+    Mutant(
+        "register_component_magnitude parses its bits with a bare int()",
+        "branchcomm/branches.py",
+        "value = state.layout.value_for(register, bits)",
+        "value = int(bits, 2)",
+        (
+            "tests/test_branches.py::test_malformed_register_values_fail_alike_in_both_forms",
+        ),
+    ),
+    Mutant(
+        "-o file left at its old length",
+        "branchcomm/cli.py",
+        "handle.raw.truncate()",
+        "pass",
+        (
+            "tests/test_cli.py::test_run_over_a_longer_file_leaves_no_tail",
+            "tests/test_cli.py::test_export_over_a_run_document",
+        ),
+    ),
+    Mutant(
+        "run checks the dense limit only after opening the -o file",
+        "branchcomm/cli.py",
+        "    try:\n        check_dense_limit(run.final.layout)\n"
+        "    except ValueError as exc:  # too wide to write out densely\n"
+        "        raise _UsageError(str(exc)) from None\n",
+        "",
+        ("tests/test_cli.py::test_run_past_the_dense_limit_exits_1",),
+    ),
 )
 
 

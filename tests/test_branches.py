@@ -140,6 +140,35 @@ def test_register_component_magnitude():
     assert register_component_magnitude(run.final, "M", "1") == 0.0
 
 
+def _error_text(call, *args, **kwargs):
+    with pytest.raises(ValueError) as info:
+        call(*args, **kwargs)
+    return str(info.value)
+
+
+@pytest.mark.parametrize("bad", ["-1", "+1", " 1", "1 ", "1_0", "2", "", "wide"])
+def test_malformed_register_values_fail_alike_in_both_forms(bad):
+    message = Message("11")
+    run = run_protocol(ProtocolConfig(n=2), message)
+    held = run.checkpoints["eq6"]
+    dense = StateVector(held.layout, held.amplitudes)
+    layout = held.layout
+    for register in ("F", "P"):
+        value = "0" * (layout.width(register) + 1) if bad == "wide" else bad
+        texts = {
+            _error_text(layout.index_for, {**layout.assignment_of(0), register: value}),
+            _error_text(register_component_magnitude, held, register, value),
+            _error_text(register_component_magnitude, dense, register, value),
+        }
+        if register == "F":
+            for friend in ("receiver_friend", "sender_friend"):
+                given = {friend: value}
+                texts.add(_error_text(evaluate_transfer, run.final, message, **given))
+        assert len(texts) == 1, texts
+    if bad == "-1":
+        assert texts == {"register 'P' value must be a nonempty string over {0,1}, got '-1'"}
+
+
 def test_branches_to_json_round_trip():
     run = run_protocol(ProtocolConfig(n=1), Message("1"))
     branches = decompose_by_register(run.final, "R")

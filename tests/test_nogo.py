@@ -11,7 +11,12 @@ from branchcomm.nogo import (
     verify_amplitude_immutability,
     witness_mu_dependence,
 )
-from branchcomm.protocol import Message, ProtocolConfig, build_protocol_circuit
+from branchcomm.protocol import (
+    Message,
+    ProtocolConfig,
+    build_protocol_circuit,
+    run_protocol,
+)
 from branchcomm.statevec import GATE_MATRIX_QUBIT_LIMIT, protocol_layout, zero_state
 
 from helpers import gram_schmidt_G, oracle_apply
@@ -41,8 +46,8 @@ def test_no_uncompute_final_state_n1():
 
 
 def test_no_uncompute_without_swap_returns_pre_swap_state():
-    state, verdict = run_no_uncompute_variant(Message("1"), apply_swap=False)
-    assert verdict is None
+    config = ProtocolConfig(n=1, uncompute_memory=False, apply_branch_swap=False)
+    state = run_protocol(config, Message("1")).final
     layout = state.layout
     expected = np.zeros(layout.dim, dtype=complex)
     expected[

@@ -1,6 +1,7 @@
 import copy
 import math
 import pickle
+import re
 
 import numpy as np
 import pytest
@@ -84,6 +85,36 @@ def test_index_round_trip_exhaustive():
         }
         assert layout.index_for(assignment) == k
         assert layout.assignment_of(k) == assignment
+
+
+def test_layout_fields_and_values_round_trip():
+    rng = np.random.default_rng(23)
+    layouts = [protocol_layout(200)]
+    for _ in range(20):
+        widths = rng.integers(1, 9, size=rng.integers(1, 6))
+        layouts.append(RegisterLayout(tuple((f"r{k}", w) for k, w in enumerate(widths))))
+    assert layouts[0].total_qubits == 403
+    for layout in layouts:
+        for trial in range(30):
+            bits = "".join(map(str, rng.integers(0, 2, layout.total_qubits)))
+            if trial < 2:
+                bits = str(trial) * layout.total_qubits
+            index = int(bits, 2)
+            assert layout.index_for(layout.assignment_of(index)) == index
+            for name in layout.names:
+                shift, mask = layout.field(name)
+                value = layout.value_of(index, name)
+                start = layout.offset(name)
+                assert value == bits[start : start + layout.width(name)]
+                assert layout.value_for(name, value) == (index >> shift) & mask
+
+
+def test_layout_rejects_non_integral_widths():
+    for width in (1.5, "2", None):
+        text = f"register 'Q' width must be an integer, got {width!r}"
+        with pytest.raises(ValueError, match=re.escape(text)):
+            RegisterLayout((("Q", width),))
+    assert RegisterLayout((("Q", np.int64(2)),)).registers == (("Q", 2),)
 
 
 def test_basis_state_errors():
@@ -177,6 +208,18 @@ def test_gateop_validation():
         GateOp(GateKind.MULTI_X, ()).validate(QRF)
 
 
+def test_gateop_rejects_non_integral_qubits():
+    for qubit in ("2", 1.5, np.float64(1.0)):
+        text = f"qubit must be an integer, got {qubit!r}"
+        with pytest.raises(ValueError, match=re.escape(text)):
+            GateOp.x(qubit)
+        with pytest.raises(ValueError, match="qubit must be an integer"):
+            GateOp.cnot(qubit, 0)
+    op = GateOp.transversal_cnot(np.arange(2), (np.int64(2), 3))
+    assert op.controls == (0, 1) and op.targets == (2, 3)
+    assert all(type(q) is int for q in op.qubits)
+
+
 def test_gateop_remembers_only_passed_validation_per_width():
     wide = protocol_layout(8)  # 19 qubits
     op = GateOp.x(10)
@@ -239,6 +282,15 @@ def test_circuit_validation():
         Circuit(QRF, (GateOp.x(0), GateOp.x(1)), ((0, "a"), (1, "a")))
     with pytest.raises(ValueError):
         apply_circuit(zero_state(protocol_layout(1)), Circuit(QRF, (GateOp.x(0),)))
+
+
+def test_circuit_rejects_non_integral_checkpoint_indices():
+    ops = (GateOp.x(0), GateOp.x(1))
+    for index in (0.5, 1.0, "1"):
+        text = f"checkpoint op index must be an integer, got {index!r}"
+        with pytest.raises(ValueError, match=re.escape(text)):
+            Circuit(QRF, ops, ((index, "a"),))
+    assert Circuit(QRF, ops, ((np.int64(1), "a"),)).checkpoints == ((1, "a"),)
 
 
 def test_gate_count_and_layer_depth():
@@ -510,6 +562,16 @@ def test_support_form_validation_and_dense_limit():
     assert abs(held.norm() - 1.0) <= 1e-12
     with pytest.raises(ValueError, match=f"{STATE_QUBIT_LIMIT + 1} qubits"):
         held.amplitudes
+
+
+def test_support_rejects_non_integral_indices():
+    for index in (1.5, 2.0, "1"):
+        text = f"basis index must be an integer, got {index!r}"
+        with pytest.raises(ValueError, match=re.escape(text)):
+            StateVector(QRF, support={1: 0.6, index: 0.8})
+    state = StateVector(QRF, support={np.int64(1): 0.6, np.uint8(2): 0.8})
+    assert state.nonzero_items() == [(1, 0.6 + 0j), (2, 0.8 + 0j)]
+    assert all(type(i) is int for i, _ in state.listed_items())
 
 
 @pytest.mark.parametrize(
