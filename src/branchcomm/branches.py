@@ -69,15 +69,18 @@ def _groups(
     """
     shift, mask = state.layout.field(register)
     if not state.dense_held:
-        groups: dict[int, tuple[list[int], list[complex]]] = {}
+        groups: dict[int, tuple[list[int], list[complex], list[int]]] = {}
         for index, amp in state.nonzero_items():
-            indices, amps = groups.setdefault((index >> shift) & mask, ([], []))
+            value = (index >> shift) & mask
+            group = groups.get(value)
+            if group is None:
+                group = groups[value] = ([], [], [])
+            indices, amps, live = group
+            if abs(amp) > ZERO_TOL:
+                live.append(len(amps))
             indices.append(index)
             amps.append(amp)
-        return [
-            (indices, amps, [k for k, a in enumerate(amps) if abs(a) > ZERO_TOL])
-            for _, (indices, amps) in sorted(groups.items())
-        ]
+        return [groups[value] for value in sorted(groups)]
     blocks = _register_blocks(state, register)
     high = shift + mask.bit_length()
     low_mask = (1 << shift) - 1
@@ -105,10 +108,11 @@ def decompose_by_register(state: StateVector, register: str) -> list[Branch]:
         if len(live) == 1:
             amplitude = complex(amps[live[0]])
             local_state = layout.assignment_of(int(indices[live[0]]))
+            label = local_state[register]
         else:
             amplitude = complex(l2_norm(amps))
             local_state = None
-        label = layout.value_of(int(indices[0]), register)
+            label = layout.value_of(int(indices[0]), register)
         branches.append(Branch(label, amplitude, local_state, layout, indices, amps))
     return branches
 

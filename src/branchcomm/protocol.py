@@ -55,6 +55,7 @@ from .statevec import (
     GateOp,
     RegisterLayout,
     StateVector,
+    _integer,
     apply_circuit,
     check_bits,
     protocol_layout,
@@ -100,10 +101,14 @@ class ProtocolConfig:
     apply_branch_swap: bool = True
 
     def __post_init__(self) -> None:
-        if isinstance(self.n, bool) or not isinstance(self.n, int) or self.n < 1:
+        n = _integer(self.n, "message width")
+        if n < 1 or isinstance(self.n, bool):
             raise ValueError(f"message width must be an int >= 1, got {self.n!r}")
+        object.__setattr__(self, "n", n)
         for name, amp in (("amp0", self.amp0), ("amp1", self.amp1)):
-            real = isinstance(amp, numbers.Real) and not isinstance(amp, bool)
+            real = type(amp) is float or (
+                isinstance(amp, numbers.Real) and not isinstance(amp, bool)
+            )
             if not (real and math.isfinite(amp)):
                 raise ValueError(f"{name} must be a finite real, got {amp!r}")
             if amp < 0:

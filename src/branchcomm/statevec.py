@@ -25,12 +25,17 @@ gate_matrix and the QASM emitter all read them. An op depends on a layout
 only through its total qubit count, so each GateOp compiles once per count:
 it keeps the pairs and the fact that it passed validation (never a
 failure). protocol_layout is cached, since a RegisterLayout is immutable,
-and zero_state holds {0: 1.0}, the all-zero index in every layout.
+and zero_state holds {0: 1+0j}, the all-zero index in every layout.
 
-H and RY mix the two values of one qubit; both forms compute each (i, i|t)
-pair with the same expressions, so a support-held state and the same state
-held dense evolve to equal amplitudes. The route that shares no code with
-this module is the Kronecker-product oracle in tests/helpers.py.
+H and RY mix the two values of one qubit. Both forms compute each (i, i|t)
+pair with the expressions written once in _mix: the dense kernel on numpy
+arrays of all pairs, the support-held kernel on Python complex scalars for
+each pair with a listed entry, an unlisted partner read as 0j. The factors
+are complex, so numpy's array product and Python's scalar product are the
+same IEEE operations, and RY adds +0j so that no pair of zeros comes out
+-0.0; a support-held state and the same state held dense therefore evolve
+to the same bytes, signed zeros included. The route that shares no code
+with this module is the Kronecker-product oracle in tests/helpers.py.
 """
 
 from __future__ import annotations
@@ -41,11 +46,12 @@ import math
 import operator
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
 SQRT_HALF = math.sqrt(0.5)
+_SQRT_HALF_J = complex(SQRT_HALF)
 
 # Dense operator construction is quadratic in the state dimension; past this
 # many qubits a single matrix no longer fits comfortably in memory.
@@ -70,7 +76,7 @@ class GateKind(enum.Enum):
 
 def check_bits(bits: str, what: str) -> str:
     """Return bits if it is a nonempty string over {0,1}, else raise ValueError."""
-    if not isinstance(bits, str) or not bits or any(c not in "01" for c in bits):
+    if not isinstance(bits, str) or not bits or bits.strip("01"):
         raise ValueError(f"{what} must be a nonempty string over {{0,1}}, got {bits!r}")
     return bits
 
@@ -104,12 +110,14 @@ class RegisterLayout:
             seen.add(name)
 
     @cached_property
-    def _offsets(self) -> dict[str, tuple[int, int, int, int]]:
-        table: dict[str, tuple[int, int, int, int]] = {}  # (offset, width, shift, mask)
+    def _offsets(self) -> dict[str, tuple[int, int, int, int, str]]:
+        """(offset, width, shift, mask, format spec) per register, in layout order."""
+        table = {}
         pos = 0
         for name, width in self.registers:
             pos += width
-            table[name] = (pos - width, width, self.total_qubits - pos, (1 << width) - 1)
+            shift, mask = self.total_qubits - pos, (1 << width) - 1
+            table[name] = (pos - width, width, shift, mask, f"0{width}b")
         return table
 
     @cached_property
@@ -124,7 +132,7 @@ class RegisterLayout:
     def names(self) -> tuple[str, ...]:
         return tuple(name for name, _ in self.registers)
 
-    def _entry(self, name: str) -> tuple[int, int, int, int]:
+    def _entry(self, name: str) -> tuple[int, int, int, int, str]:
         try:
             return self._offsets[name]
         except KeyError:
@@ -144,7 +152,7 @@ class RegisterLayout:
 
     def field(self, name: str) -> tuple[int, int]:
         """(shift, mask) such that (index >> shift) & mask is the register's value."""
-        return self._entry(name)[2:]
+        return self._entry(name)[2:4]
 
     def value_for(self, name: str, bits: str) -> int:
         """A register's bit-string as an int; a malformed or wrong-width one raises."""
@@ -167,13 +175,16 @@ class RegisterLayout:
 
     def value_of(self, index: int, name: str) -> str:
         """Bit-string held by one register at a global basis index."""
-        _, width, shift, mask = self._entry(name)
-        return format((index >> shift) & mask, f"0{width}b")
+        _, _, shift, mask, spec = self._entry(name)
+        return format((index >> shift) & mask, spec)
 
     def assignment_of(self, index: int) -> dict[str, str]:
         if not 0 <= index < self.dim:
             raise ValueError(f"basis index {index} out of range for {self.total_qubits} qubits")
-        return {name: self.value_of(index, name) for name, _ in self.registers}
+        return {
+            name: format((index >> shift) & mask, spec)
+            for name, (_, _, shift, mask, spec) in self._offsets.items()
+        }
 
 
 @lru_cache(maxsize=128)
@@ -263,9 +274,10 @@ class StateVector:
     ) -> None:
         if (amplitudes is None) == (support is None):
             raise ValueError("give exactly one of amplitudes and support")
-        object.__setattr__(self, "layout", layout)
-        object.__setattr__(self, "_dense", amplitudes)
-        object.__setattr__(self, "_support", support)
+        fields = self.__dict__  # __setattr__ refuses every assignment
+        fields["layout"] = layout
+        fields["_dense"] = amplitudes
+        fields["_support"] = support
         self.__post_init__(_kernel_output)
 
     def __post_init__(self, kernel_output: bool = False) -> None:
@@ -375,7 +387,7 @@ class StateVector:
 
 def _state(layout: RegisterLayout, held: _Held) -> StateVector:
     """Wrap a kernel's output, an amplitude array or a support dict."""
-    if isinstance(held, dict):
+    if type(held) is dict:
         return StateVector(layout, support=held, _kernel_output=True)
     return StateVector(layout, held, _kernel_output=True)
 
@@ -387,7 +399,16 @@ def make_basis_state(layout: RegisterLayout, assignment: Mapping[str, str]) -> S
 
 def zero_state(layout: RegisterLayout) -> StateVector:
     """All-registers-zero basis state: index 0 in every layout."""
-    return StateVector(layout, support={0: 1.0})
+    return _state(layout, {0: 1 + 0j})
+
+
+def _qubits(qubits: Iterable[int]) -> tuple[int, ...]:
+    """Qubit positions as ints; a non-integral one raises _integer's ValueError."""
+    qubits = tuple(qubits)
+    try:
+        return tuple(map(operator.index, qubits))
+    except TypeError:
+        return tuple(_integer(q, "qubit") for q in qubits)
 
 
 @dataclass(frozen=True)
@@ -410,8 +431,8 @@ class GateOp:
     angle: float | None = None
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "targets", tuple(_integer(t, "qubit") for t in self.targets))
-        object.__setattr__(self, "controls", tuple(_integer(c, "qubit") for c in self.controls))
+        object.__setattr__(self, "targets", _qubits(self.targets))
+        object.__setattr__(self, "controls", _qubits(self.controls))
         object.__setattr__(self, "_valid_for", set())
         object.__setattr__(self, "_pairs_for", {})
 
@@ -510,6 +531,20 @@ class GateOp:
         return self
 
 
+def _checkpoint_pairs(checkpoints: Iterable[tuple[int, str]]) -> tuple[tuple[int, str], ...]:
+    """Checkpoints as a tuple of (int, str) pairs; one that is already so is
+    returned as it is."""
+    if type(checkpoints) is tuple:
+        for pair in checkpoints:
+            if type(pair) is not tuple or len(pair) != 2:
+                break
+            if type(pair[0]) is not int or type(pair[1]) is not str:
+                break
+        else:
+            return checkpoints
+    return tuple((_integer(i, "checkpoint op index"), str(l)) for i, l in checkpoints)
+
+
 @dataclass(frozen=True)
 class Circuit:
     """Validated gate sequence with labeled checkpoints.
@@ -524,8 +559,7 @@ class Circuit:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "ops", tuple(self.ops))
-        checkpoints = tuple((_integer(i, "checkpoint op index"), str(l)) for i, l in self.checkpoints)
-        object.__setattr__(self, "checkpoints", checkpoints)
+        object.__setattr__(self, "checkpoints", _checkpoint_pairs(self.checkpoints))
         for op in self.ops:
             op.validate(self.layout)
         labels = [label for _, label in self.checkpoints]
@@ -564,7 +598,10 @@ class Circuit:
 
 def _mask(total: int, qubits: Iterable[int]) -> int:
     """Global-index bit mask of distinct qubit positions."""
-    return sum(1 << (total - 1 - q) for q in qubits)
+    top, mask = 1 << (total - 1), 0
+    for q in qubits:
+        mask |= top >> q
+    return mask
 
 
 def flip_pairs(op: GateOp, total: int) -> tuple[tuple[int, int], ...]:
@@ -620,47 +657,53 @@ def _permute_support(
     return out
 
 
-def _mix(
-    op: GateOp, a0: np.ndarray, a1: np.ndarray, out0: np.ndarray, out1: np.ndarray
-) -> None:
-    """H or RY on the (target = 0, target = 1) amplitude pairs, elementwise.
+def _mix(op: GateOp, a0, a1) -> Iterator:
+    """H or RY on (target = 0, target = 1) amplitude pairs: yields the new
+    target-0 value, then the new target-1 value.
 
-    Each output is written before the next is computed, so a dense kernel
+    Works elementwise on arrays and on Python complex scalars alike. numpy
+    multiplies by a real scalar as by c + 0j, in full: (x + yj)(c + 0j) =
+    (xc - y0) + (x0 + yc)j. The factors are complex here, so Python's
+    scalar product (on every version) is that same expression. A dense
+    kernel stores the first output before the second is computed, so it
     holds one temporary at a time.
+
+    RY adds +0j, which turns -0.0 into +0.0 and leaves every other value
+    as it is: for cos(angle / 2) < 0 a pair of +0j would otherwise come out
+    -0.0, which a dense array would hold where the support form lists
+    nothing.
     """
     if op.kind is GateKind.H:
-        out0[...] = (a0 + a1) * SQRT_HALF
-        out1[...] = (a0 - a1) * SQRT_HALF
+        yield (a0 + a1) * _SQRT_HALF_J
+        yield (a0 - a1) * _SQRT_HALF_J
     else:
-        c, s = math.cos(op.angle / 2.0), math.sin(op.angle / 2.0)
-        out0[...] = c * a0 - s * a1
-        out1[...] = s * a0 + c * a1
+        c, s = complex(math.cos(op.angle / 2.0)), complex(math.sin(op.angle / 2.0))
+        yield c * a0 - s * a1 + 0j
+        yield s * a0 + c * a1 + 0j
 
 
 def _apply_kernel(held: _Held, op: GateOp, total: int) -> _Held:
     """One gate on either form: a read-only amplitude array or a support dict."""
-    mixing = op.kind in (GateKind.H, GateKind.RY)
-    if isinstance(held, dict):
+    mixing = op.kind is GateKind.H or op.kind is GateKind.RY
+    if type(held) is dict:
         if not mixing:
             return _permute_support(held, flip_pairs(op, total))
         # Every pair with a listed entry is computed through _mix, with an
         # unlisted partner read as the 0j a dense array holds, and kept even
-        # when it comes out zero, so both forms end with identical values.
+        # when it comes out zero, so both forms end with identical bytes.
         bit = 1 << (total - 1 - op.targets[0])
-        lows = list({index & ~bit for index in held})
-        highs = [index | bit for index in lows]
-        halves = np.array(
-            [[held.get(i, 0j) for i in lows], [held.get(i, 0j) for i in highs]],
-            dtype=np.complex128,
-        )
-        out = np.empty_like(halves)
-        _mix(op, halves[0], halves[1], out[0], out[1])
-        return dict(zip(lows + highs, out.reshape(-1).tolist()))
+        out = {}
+        for low in {index & ~bit for index in held}:
+            high = low | bit
+            out[low], out[high] = _mix(op, held.get(low, 0j), held.get(high, 0j))
+        return out
     if mixing:
         t = op.targets[0]
         a = held.reshape(1 << t, 2, 1 << (total - 1 - t))
         out = np.empty_like(a)
-        _mix(op, a[:, 0, :], a[:, 1, :], out[:, 0, :], out[:, 1, :])
+        mixed = _mix(op, a[:, 0, :], a[:, 1, :])
+        out[:, 0, :] = next(mixed)
+        out[:, 1, :] = next(mixed)
         out = out.reshape(-1)
     else:
         out = _permute(held, flip_pairs(op, total), total)
@@ -688,7 +731,8 @@ def apply_circuit(
     circuit returns the input state unchanged and no snapshots. The state
     keeps its form throughout.
     """
-    if circuit.layout != state.layout:
+    layout = state.layout
+    if circuit.layout is not layout and circuit.layout != layout:
         raise ValueError("circuit layout does not match state layout")
     if not circuit.ops:
         return state, {}
@@ -696,14 +740,14 @@ def apply_circuit(
     for op_index, label in circuit.checkpoints:
         snap_at.setdefault(op_index, []).append(label)
 
-    total = state.layout.total_qubits
+    total = layout.total_qubits
     held = _held(state)
     snapshots: dict[str, StateVector] = {}
     for i, op in enumerate(circuit.ops):
         held = _apply_kernel(held, op, total)
         for label in snap_at.get(i, ()):
-            snapshots[label] = _state(state.layout, held)
-    return _state(state.layout, held), snapshots
+            snapshots[label] = _state(layout, held)
+    return _state(layout, held), snapshots
 
 
 def fidelity(a: StateVector, b: StateVector) -> float:

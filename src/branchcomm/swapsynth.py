@@ -16,6 +16,7 @@ from .protocol import Message, ProtocolConfig, build_protocol_circuit
 from .statevec import (
     GateOp,
     StateVector,
+    _integer,
     apply_circuit,
     apply_gate,
     check_bits,
@@ -49,8 +50,9 @@ class SwapPlan:
     hamming_cost: int
 
     def __post_init__(self) -> None:
-        positions = tuple(int(p) for p in self.x_positions)
+        positions = tuple(_integer(p, "swap position") for p in self.x_positions)
         object.__setattr__(self, "x_positions", positions)
+        object.__setattr__(self, "hamming_cost", _integer(self.hamming_cost, "swap cost"))
         if list(positions) != sorted(set(positions)):
             raise ValueError(f"positions must be strictly ascending, got {positions}")
         if any(p < 1 for p in positions):

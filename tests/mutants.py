@@ -110,6 +110,25 @@ MUTANTS = (
         ("tests/test_statevec.py::test_gateop_remembers_only_passed_validation_per_width",),
     ),
     Mutant(
+        "support-held H written as a0 * SQRT_HALF + a1 * SQRT_HALF",
+        "branchcomm/statevec.py",
+        "out[low], out[high] = _mix(op, held.get(low, 0j), held.get(high, 0j))",
+        "a0, a1 = held.get(low, 0j), held.get(high, 0j); out[low], out[high] = "
+        "(a0 * SQRT_HALF + a1 * SQRT_HALF, a0 * SQRT_HALF - a1 * SQRT_HALF) "
+        "if kind is GateKind.H else _mix(op, a0, a1)",
+        ("tests/test_statevec.py::test_mixing_kernel_agrees_bit_for_bit_in_both_forms",),
+    ),
+    Mutant(
+        "check_bits also accepts the digit 2",
+        "branchcomm/statevec.py",
+        'bits.strip("01")',
+        'bits.strip("012")',
+        (
+            "tests/test_protocol.py::test_message_validation",
+            "tests/test_cli.py::test_run_usage_errors_exit_1",
+        ),
+    ),
+    Mutant(
         "dense branch indices rebuilt one bit too low",
         "branchcomm/branches.py",
         "indices = ((pos >> shift) << high) |",

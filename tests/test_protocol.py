@@ -64,6 +64,17 @@ def test_config_validation():
             ProtocolConfig(amp0=amp0, amp1=amp1)
 
 
+def test_config_width_accepts_numpy_integers():
+    for width in (np.int64(3), np.uint8(3)):
+        config = ProtocolConfig(n=width)
+        assert config.n == 3 and type(config.n) is int
+        assert config == ProtocolConfig(n=3)
+        assert verify_transfer(run_protocol(config, Message("101")), Message("101")).success
+    for bad in (np.int64(0), np.bool_(True), np.float64(3.0)):
+        with pytest.raises(ValueError, match="message width"):
+            ProtocolConfig(n=bad)
+
+
 # --- circuit structure ---------------------------------------------------------
 
 

@@ -540,6 +540,39 @@ def test_support_and_dense_routes_agree_on_random_circuits():
             assert abs(fidelity(via_support, dense) - fidelity(via_dense, held)) <= 1e-12
 
 
+def test_mixing_kernel_agrees_bit_for_bit_in_both_forms():
+    """H and RY on superposed states, signed zeros and RY(-0.0) included:
+    every snapshot has the same bytes in both forms, not just equal values."""
+    rng = np.random.default_rng(20261019)
+    zeros = [0j, complex(-0.0, 0.0), complex(0.0, -0.0), complex(-0.0, -0.0)]
+    for total in (1, 2, 3, 4):
+        layout = RegisterLayout((("q", total),))
+        for _ in range(40):
+            size = int(rng.integers(2, layout.dim + 1))
+            indices = rng.choice(layout.dim, size=size, replace=False).tolist()
+            values = rng.normal(size=size) + 1j * rng.normal(size=size)
+            support = dict(zip(indices, values.tolist()))
+            for index in indices[: int(rng.integers(0, size))]:
+                support[index] = zeros[int(rng.integers(len(zeros)))]
+            held = StateVector(layout, support=support)
+            dense = StateVector(layout, held.amplitudes)
+
+            ops = list(random_circuit(rng, layout, max_gates=3).ops)
+            for _ in range(4):
+                q = int(rng.integers(total))
+                angle = (-0.0, 0.0, float(rng.uniform(-2 * np.pi, 2 * np.pi)))[
+                    int(rng.integers(3))
+                ]
+                mixer = GateOp.h(q) if rng.integers(2) else GateOp.ry(angle, q)
+                ops.insert(int(rng.integers(len(ops) + 1)), mixer)
+            circuit = Circuit(layout, tuple(ops), tuple((i, str(i)) for i in range(len(ops))))
+            _, via_support = apply_circuit(held, circuit)
+            _, via_dense = apply_circuit(dense, circuit)
+            for label, state in via_support.items():
+                assert not state.dense_held and via_dense[label].dense_held
+                assert state.amplitudes.tobytes() == via_dense[label].amplitudes.tobytes()
+
+
 def test_support_form_validation_and_dense_limit():
     with pytest.raises(ValueError):
         StateVector(QRF)

@@ -65,6 +65,16 @@ def test_swap_plan_validation():
         SwapPlan((0, 1), 2)
 
 
+def test_swap_plan_positions_must_be_integral():
+    for positions, cost in (((1.5, 2.9), 2), ((1, 2.0), 2), (("1",), 1), ((1,), 1.0)):
+        with pytest.raises(ValueError, match="must be an integer"):
+            SwapPlan(positions, cost)
+    plan = SwapPlan((np.int64(1), np.uint8(3)), np.int64(2))
+    assert plan.x_positions == (1, 3) and plan.hamming_cost == 2
+    assert all(type(p) is int for p in (*plan.x_positions, plan.hamming_cost))
+    assert plan.to_dict() == {"positions": [1, 3], "cost": 2}
+
+
 def test_cost_equals_bit_count_of_xor():
     rng = np.random.default_rng(20240917)
     for _ in range(50):
