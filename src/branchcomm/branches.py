@@ -34,6 +34,9 @@ class Branch:
     arrays from a dense-held one); `component` is the same projection as a
     full-length dense array (unnormalized, read-only), built on first
     access, so decompositions can be re-summed and re-projected.
+
+    __init__ is written out, as GateOp's is: a frozen dataclass's own
+    __init__ stores each field through object.__setattr__.
     """
 
     label: str
@@ -42,6 +45,20 @@ class Branch:
     layout: RegisterLayout = field(compare=False, repr=False)
     indices: Sequence[int] = field(compare=False, repr=False)
     values: Sequence[complex] = field(compare=False, repr=False)
+
+    def __init__(
+        self,
+        label: str,
+        amplitude: complex,
+        local_state: dict[str, str] | None,
+        layout: RegisterLayout,
+        indices: Sequence[int],
+        values: Sequence[complex],
+    ) -> None:
+        self.__dict__.update(
+            label=label, amplitude=amplitude, local_state=local_state,
+            layout=layout, indices=indices, values=values,
+        )
 
     @cached_property
     def component(self) -> np.ndarray:
@@ -71,11 +88,7 @@ def _groups(
     if not state.dense_held:
         groups: dict[int, tuple[list[int], list[complex], list[int]]] = {}
         for index, amp in state.nonzero_items():
-            value = (index >> shift) & mask
-            group = groups.get(value)
-            if group is None:
-                group = groups[value] = ([], [], [])
-            indices, amps, live = group
+            indices, amps, live = groups.setdefault((index >> shift) & mask, ([], [], []))
             if abs(amp) > ZERO_TOL:
                 live.append(len(amps))
             indices.append(index)
@@ -149,6 +162,7 @@ class TransferVerdict:
     On success, failure_reason is None; `note` carries advisories such as a
     blank message having been transferred. Register fields hold what the
     decomposition found and stay None when a branch could not be read.
+    __init__ is written out, as Branch's is.
     """
 
     success: bool
@@ -158,9 +172,22 @@ class TransferVerdict:
     failure_reason: str | None = None
     note: str | None = None
 
-    def __post_init__(self) -> None:
-        if self.success and self.failure_reason is not None:
+    def __init__(
+        self,
+        success: bool,
+        receiver_paper: str | None = None,
+        receiver_memory: str | None = None,
+        sender_paper: str | None = None,
+        failure_reason: str | None = None,
+        note: str | None = None,
+    ) -> None:
+        if success and failure_reason is not None:
             raise ValueError("a successful verdict cannot carry a failure reason")
+        self.__dict__.update(
+            success=success, receiver_paper=receiver_paper,
+            receiver_memory=receiver_memory, sender_paper=sender_paper,
+            failure_reason=failure_reason, note=note,
+        )
 
 
 def evaluate_transfer(
@@ -206,49 +233,34 @@ def evaluate_transfer(
                     "single basis state"
                 ),
             )
-    by_label = {b.label: b for b in branches}
-    receiver = by_label.get("0")
-    sender = by_label.get("1")
-    if receiver is None or sender is None:
+    # Branches come in ascending R order with distinct labels.
+    receiver, sender = branches
+    if receiver.label != "0" or sender.label != "1":
         return TransferVerdict(
             False,
-            failure_reason=f"branch labels {sorted(by_label)} do not cover R=0 and R=1",
+            failure_reason=f"branch labels {sorted(b.label for b in branches)} "
+            "do not cover R=0 and R=1",
         )
 
-    r_paper = receiver.local_state["P"]
-    r_memory = receiver.local_state["M"]
-    s_paper = sender.local_state["P"]
-    fields = {
-        "receiver_paper": r_paper,
-        "receiver_memory": r_memory,
-        "sender_paper": s_paper,
-    }
-
-    def fail(reason: str) -> TransferVerdict:
-        return TransferVerdict(False, failure_reason=reason, **fields)
-
-    if r_paper != message.bits:
-        return fail(f"receiver paper '{r_paper}' != message '{message.bits}'")
-    if r_memory != zeros:
-        return fail(f"cross-branch memory: receiver memory '{r_memory}' != '{zeros}'")
-    if receiver.local_state["F"] != receiver_friend:
-        return fail(
-            f"receiver friend '{receiver.local_state['F']}' != expected "
-            f"'{receiver_friend}'"
-        )
-    if receiver.local_state["Q"] != "0":
-        return fail(f"receiver qubit '{receiver.local_state['Q']}' != '0'")
-    if s_paper != zeros:
-        return fail(f"sender paper '{s_paper}' is not blank")
-    if sender.local_state["M"] != zeros:
-        return fail(f"sender memory '{sender.local_state['M']}' is not cleared")
-    if sender_friend is not None and sender.local_state["F"] != sender_friend:
-        return fail(
-            f"sender friend '{sender.local_state['F']}' != expected '{sender_friend}'"
-        )
-
-    note = "blank message" if message.blank else None
-    return TransferVerdict(True, note=note, **fields)
+    r, s = receiver.local_state, sender.local_state
+    if r["P"] != message.bits:
+        reason = f"receiver paper '{r['P']}' != message '{message.bits}'"
+    elif r["M"] != zeros:
+        reason = f"cross-branch memory: receiver memory '{r['M']}' != '{zeros}'"
+    elif r["F"] != receiver_friend:
+        reason = f"receiver friend '{r['F']}' != expected '{receiver_friend}'"
+    elif r["Q"] != "0":
+        reason = f"receiver qubit '{r['Q']}' != '0'"
+    elif s["P"] != zeros:
+        reason = f"sender paper '{s['P']}' is not blank"
+    elif s["M"] != zeros:
+        reason = f"sender memory '{s['M']}' is not cleared"
+    elif sender_friend is not None and s["F"] != sender_friend:
+        reason = f"sender friend '{s['F']}' != expected '{sender_friend}'"
+    else:
+        note = "blank message" if message.blank else None
+        return TransferVerdict(True, r["P"], r["M"], s["P"], note=note)
+    return TransferVerdict(False, r["P"], r["M"], s["P"], failure_reason=reason)
 
 
 def verify_transfer(run: ProtocolRun, message: Message) -> TransferVerdict:

@@ -151,11 +151,13 @@ def _pairs_json(state: StateVector, indent: str) -> Iterator[bytes | memoryview]
 
 def _document_chunks(run: ProtocolRun, message: Message) -> Iterator[bytes | memoryview]:
     """The `run` document (see run_document) as chunks of ASCII bytes in
-    text order, for a sink that takes them one at a time.
+    text order, for a sink that takes them one at a time: stdout
+    (_write_stdout) or an -o file (_write_chunks).
 
     Raises ValueError on the first step, before any chunk, when the states
     are wider than a dense state may be (STATE_QUBIT_LIMIT). That is not at
-    the call, so cmd_run checks the width itself before it opens the file.
+    the call, so cmd_run checks the width itself before it writes a byte or
+    opens the file.
     """
     check_dense_limit(run.final.layout)
     head = json.dumps(
@@ -187,9 +189,10 @@ def run_document(run: ProtocolRun, message: Message) -> str:
     final amplitudes, all in ascending global-index order.
 
     Byte-identical to json.dumps(document, indent=2). It is the join of the
-    chunks `run -o` streams to its file (_document_chunks), so both routes
-    share one producer. Raises ValueError, before any text is built, when
-    the states are wider than a dense state may be (STATE_QUBIT_LIMIT).
+    chunks `run` streams to stdout or its -o file (_document_chunks), so
+    every route shares one producer. Raises ValueError, before any text is
+    built, when the states are wider than a dense state may be
+    (STATE_QUBIT_LIMIT).
     """
     return b"".join(_document_chunks(run, message)).decode("ascii")
 
@@ -225,6 +228,22 @@ def _write_chunks(chunks: Iterable[bytes | memoryview], output_path: str) -> Non
         raise _UsageError(f"cannot write {output_path!r}: {exc}") from exc
 
 
+def _write_stdout(chunks: Iterable[bytes | memoryview]) -> None:
+    """Write the chunks and a final newline to stdout, one chunk at a time,
+    so the document is never held whole: as bytes to sys.stdout.buffer,
+    after flushing the text layer so earlier text stays first, or, for a
+    stream with no buffer (a caller's StringIO), as decoded text."""
+    out = sys.stdout
+    buffer = getattr(out, "buffer", None)
+    if buffer is None:
+        out.writelines(str(chunk, "ascii") for chunk in chunks)
+        out.write("\n")
+        return
+    out.flush()
+    buffer.writelines(chunks)
+    buffer.write(b"\n")
+
+
 def _emit(text: str, output_path: str | None) -> None:
     if output_path is None:
         sys.stdout.write(text)
@@ -247,7 +266,7 @@ def cmd_run(args: argparse.Namespace) -> int:
     except ValueError as exc:  # too wide to write out densely
         raise _UsageError(str(exc)) from None
     if args.output is None:
-        _emit(run_document(run, message), None)
+        _write_stdout(_document_chunks(run, message))
     else:
         _write_chunks(_document_chunks(run, message), args.output)
 

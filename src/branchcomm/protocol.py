@@ -31,13 +31,15 @@ is false; their checkpoint labels disappear with them and the final state is
 then the last recorded one.
 
 Only column 4 depends on mu, and only column 1 on the amplitudes. The other
-columns, the layout and the checkpoint table are built once per (n, friend0,
-friend1, uncompute_memory, apply_branch_swap) and shared by every circuit
-with that key, so the ops Theorem 1 requires to be message-independent are
-the same objects for every message. Column 1 is built per call and never
-cached: ProtocolConfig(amp1=0.0) == ProtocolConfig(amp1=-0.0), yet the first
-prepares with RY(0.0) and the second with RY(-0.0), and the JSON export
-prints that sign.
+columns, an H preparation, the layout and the checkpoint table are built and
+validated once per (n, friend0, friend1, uncompute_memory,
+apply_branch_swap) and shared by every circuit with that key, so the ops
+Theorem 1 requires to be message-independent are the same objects for every
+message. The encoder and an RY preparation are derived per call from
+validated templates (GateOp._derive), which checks only the payload or
+angle. An RY preparation is never cached: ProtocolConfig(amp1=0.0) ==
+ProtocolConfig(amp1=-0.0), yet the first prepares with RY(0.0) and the
+second with RY(-0.0), and the JSON export prints that sign.
 """
 
 from __future__ import annotations
@@ -55,6 +57,7 @@ from .statevec import (
     GateOp,
     RegisterLayout,
     StateVector,
+    _checkpoint_table,
     _integer,
     apply_circuit,
     check_bits,
@@ -91,7 +94,8 @@ class ProtocolConfig:
     """Parameters of one protocol run.
 
     Amplitudes are restricted to real non-negative values normalized to
-    |amp0|^2 + |amp1|^2 = 1 within 1e-12.
+    |amp0|^2 + |amp1|^2 = 1 within 1e-12. __init__ is written out for the
+    reason statevec.GateOp gives.
     """
 
     n: int = 1
@@ -100,12 +104,18 @@ class ProtocolConfig:
     uncompute_memory: bool = True
     apply_branch_swap: bool = True
 
-    def __post_init__(self) -> None:
-        n = _integer(self.n, "message width")
-        if n < 1 or isinstance(self.n, bool):
-            raise ValueError(f"message width must be an int >= 1, got {self.n!r}")
-        object.__setattr__(self, "n", n)
-        for name, amp in (("amp0", self.amp0), ("amp1", self.amp1)):
+    def __init__(
+        self,
+        n: int = 1,
+        amp0: float = SQRT_HALF,
+        amp1: float = SQRT_HALF,
+        uncompute_memory: bool = True,
+        apply_branch_swap: bool = True,
+    ) -> None:
+        width = _integer(n, "message width")
+        if width < 1 or isinstance(n, bool):
+            raise ValueError(f"message width must be an int >= 1, got {n!r}")
+        for name, amp in (("amp0", amp0), ("amp1", amp1)):
             real = type(amp) is float or (
                 isinstance(amp, numbers.Real) and not isinstance(amp, bool)
             )
@@ -113,11 +123,15 @@ class ProtocolConfig:
                 raise ValueError(f"{name} must be a finite real, got {amp!r}")
             if amp < 0:
                 raise ValueError(f"{name} must be non-negative, got {amp}")
-        total = self.amp0 * self.amp0 + self.amp1 * self.amp1
+        total = amp0 * amp0 + amp1 * amp1
         if abs(total - 1.0) > AMP_TOL:
             raise ValueError(
                 f"amplitudes must satisfy amp0^2 + amp1^2 = 1, got {total!r}"
             )
+        self.__dict__.update(
+            n=width, amp0=amp0, amp1=amp1,
+            uncompute_memory=uncompute_memory, apply_branch_swap=apply_branch_swap,
+        )
 
 
 @dataclass(frozen=True)
@@ -128,20 +142,28 @@ class ProtocolRun:
     checkpoints: Mapping[str, StateVector]
     final: StateVector
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "checkpoints", MappingProxyType(dict(self.checkpoints)))
+    def __init__(
+        self,
+        config: ProtocolConfig,
+        checkpoints: Mapping[str, StateVector],
+        final: StateVector,
+    ) -> None:
+        self.__dict__.update(
+            config=config, checkpoints=MappingProxyType(dict(checkpoints)), final=final
+        )
 
 
 class _SharedParts(NamedTuple):
     """Everything in the transfer circuit that depends on neither mu nor the
-    amplitudes: the layout, the qubits the preparation op and the encoder
-    act on, the ops between the two, the ops after the encoder, and the
-    checkpoint table."""
+    amplitudes, validated for the layout once: the layout, the H preparation,
+    the RY preparation and the encoder as templates for _derive, the ops
+    between the preparation and the encoder, the ops after the encoder, and
+    the checkpoint table."""
 
     layout: RegisterLayout
-    q: int
-    control: int
-    m: tuple[int, ...]
+    hadamard: GateOp
+    rotation: GateOp
+    encoder: GateOp
     records: tuple[GateOp, ...]
     tail: tuple[GateOp, ...]
     checkpoints: tuple[tuple[int, str], ...]
@@ -174,8 +196,12 @@ def _shared_parts(
     if apply_branch_swap:
         tail.append(GateOp.multi_x((q, r, *steered)))
         checkpoints.append((e + len(tail), "eq8"))
+    preps = (GateOp.h(q), GateOp.ry(0.0, q))
+    encoder = GateOp.encode("0" * n, m, control=control)
+    for op in (*preps, encoder, *records, *tail):
+        op.validate(layout)
     return _SharedParts(
-        layout, q, control, m, tuple(records), tuple(tail), tuple(checkpoints)
+        layout, *preps, encoder, tuple(records), tuple(tail), _checkpoint_table(checkpoints)
     )
 
 
@@ -188,7 +214,8 @@ def build_protocol_circuit(
     The ENCODE_MU payload is taken from `message`; with no message given the
     payload is blank, which keeps the circuit shape while writing nothing.
     The friend rests in `friend0` and is steered to `friend1` when Q=1.
-    Only the preparation op and the encoder are built per call.
+    Only an RY preparation and the encoder are built per call, each derived
+    from its validated template.
     """
     n = config.n
     if message is not None and message.n != n:
@@ -199,11 +226,10 @@ def build_protocol_circuit(
         n, friend0, friend1, bool(config.uncompute_memory), bool(config.apply_branch_swap)
     )
     if abs(config.amp0 - config.amp1) <= AMP_TOL:
-        prep = GateOp.h(parts.q)
+        prep = parts.hadamard
     else:
-        prep = GateOp.ry(2.0 * math.atan2(config.amp1, config.amp0), parts.q)
-    encoder = GateOp.encode(payload, parts.m, control=parts.control)
-    ops = (prep, *parts.records, encoder, *parts.tail)
+        prep = parts.rotation._derive(2.0 * math.atan2(config.amp1, config.amp0))
+    ops = (prep, *parts.records, parts.encoder._derive(payload), *parts.tail)
     return Circuit(parts.layout, ops, parts.checkpoints)
 
 

@@ -21,11 +21,26 @@ basis states. Each compiles to an ordered list of (control mask C, flip
 mask F) pairs, applied in turn; a pair flips the bits of F in every basis
 index whose C bits are all set, with bit masks taken over the global index.
 These pairs are the single description of those kinds: both forms' kernels,
-gate_matrix and the QASM emitter all read them. An op depends on a layout
-only through its total qubit count, so each GateOp compiles once per count:
-it keeps the pairs and the fact that it passed validation (never a
-failure). protocol_layout is cached, since a RegisterLayout is immutable,
-and zero_state holds {0: 1+0j}, the all-zero index in every layout.
+gate_matrix and the QASM emitter all read them. The support-held kernel of a
+TRANSVERSAL_CNOT is folded from its pairs (_fold): the pairs touch pairwise
+distinct qubits, so they commute, and together they map an index i to
+i ^ spread(i & C), where spread shifts each control bit onto its target,
+one shift per control-to-target distance (the linear reversible view of
+Patel, Markov & Hayes, quant-ph/0302002). So a support entry costs one
+shift per distance, not one test per pair.
+
+What repeats from run to run is validated and compiled once. An op depends
+on a layout only through its total qubit count, so each GateOp remembers per
+count that it passed validation (never a failure), its flip pairs and its
+support kernel, the fold among them. A Circuit checks only the ops not yet
+valid for its width; its checkpoint table is normalised once, with the
+labels to snapshot after each op, and a Circuit built over another's table
+reuses it, checking only its indices against its own op count.
+GateOp._derive copies a validated ENCODE_MU or RY op with a new payload or
+angle, checks that field alone and keeps the widths the original passed:
+the protocol builds its two per-run ops that way. protocol_layout is
+cached, since a RegisterLayout is immutable, and zero_state holds
+{0: 1+0j}, the all-zero index in every layout.
 
 H and RY mix the two values of one qubit. Both forms compute each (i, i|t)
 pair with the expressions written once in _mix: the dense kernel on numpy
@@ -45,8 +60,9 @@ import enum
 import math
 import operator
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
-from typing import Iterable, Iterator, Mapping, Sequence
+from functools import cached_property, lru_cache, partial
+from itertools import repeat
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -178,13 +194,19 @@ class RegisterLayout:
         _, _, shift, mask, spec = self._entry(name)
         return format((index >> shift) & mask, spec)
 
+    @cached_property
+    def _slices(self) -> tuple[tuple[str, ...], str, tuple[slice, ...]]:
+        """Register names, the format spec of a whole index, and each
+        register's slice of that text, in layout order."""
+        spans = tuple(slice(off, off + w) for off, w, *_ in self._offsets.values())
+        return tuple(self._offsets), f"0{self.total_qubits}b", spans
+
     def assignment_of(self, index: int) -> dict[str, str]:
+        """Bit-string of every register at a global basis index, layout order."""
         if not 0 <= index < self.dim:
             raise ValueError(f"basis index {index} out of range for {self.total_qubits} qubits")
-        return {
-            name: format((index >> shift) & mask, spec)
-            for name, (_, _, shift, mask, spec) in self._offsets.items()
-        }
+        names, spec, spans = self._slices
+        return dict(zip(names, map(format(index, spec).__getitem__, spans)))
 
 
 @lru_cache(maxsize=128)
@@ -270,7 +292,6 @@ class StateVector:
         amplitudes: np.ndarray | None = None,
         *,
         support: Mapping[int, complex] | None = None,
-        _kernel_output: bool = False,
     ) -> None:
         if (amplitudes is None) == (support is None):
             raise ValueError("give exactly one of amplitudes and support")
@@ -278,14 +299,14 @@ class StateVector:
         fields["layout"] = layout
         fields["_dense"] = amplitudes
         fields["_support"] = support
-        self.__post_init__(_kernel_output)
+        self.__post_init__()
 
     def __post_init__(self, kernel_output: bool = False) -> None:
         """Validate and freeze the held form; runs on every construction.
 
-        A kernel's output is already a frozen array or a fresh dict of int
-        keys and complex values computed from validated data, so it is kept
-        as it is.
+        A kernel's output (kernel_output, from _state) is already a frozen
+        array or a fresh dict of int keys and complex values computed from
+        validated data, so it is kept as it is.
         """
         if kernel_output:
             return
@@ -385,11 +406,21 @@ class StateVector:
         return l2_norm(a for _, a in self.nonzero_items())
 
 
+_new_state = partial(object.__new__, StateVector)
+
+
 def _state(layout: RegisterLayout, held: _Held) -> StateVector:
-    """Wrap a kernel's output, an amplitude array or a support dict."""
+    """Wrap a kernel's output, an amplitude array or a support dict, in a
+    StateVector without checking or scanning it again."""
+    state = _new_state()
+    fields = state.__dict__
+    fields["layout"] = layout
     if type(held) is dict:
-        return StateVector(layout, support=held, _kernel_output=True)
-    return StateVector(layout, held, _kernel_output=True)
+        fields["_dense"], fields["_support"] = None, held
+    else:
+        fields["_dense"], fields["_support"] = held, None
+    state.__post_init__(True)
+    return state
 
 
 def make_basis_state(layout: RegisterLayout, assignment: Mapping[str, str]) -> StateVector:
@@ -419,9 +450,14 @@ class GateOp:
     Global qubit positions follow the layout convention (0 = most significant).
 
     An op depends on a layout only through its total qubit count, so it
-    remembers, per count, that it passed validate and what flip_pairs
-    compiled it to; a rejected op is not remembered and raises every time.
-    Neither memo takes part in ==, hash or repr.
+    remembers, per count, that it passed validate and what flip_pairs and
+    the support kernel compiled it to; a rejected op is not remembered and
+    raises every time. No memo takes part in ==, hash or repr.
+
+    __init__ is written out rather than generated: a frozen dataclass's
+    own __init__ stores each field through object.__setattr__, which took
+    about 40% of building an op (3.8 us of which 1.6 us, on a 2-vCPU Xeon
+    VM with Python 3.11).
     """
 
     kind: GateKind
@@ -430,11 +466,23 @@ class GateOp:
     payload: str | None = None
     angle: float | None = None
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "targets", _qubits(self.targets))
-        object.__setattr__(self, "controls", _qubits(self.controls))
-        object.__setattr__(self, "_valid_for", set())
-        object.__setattr__(self, "_pairs_for", {})
+    def __init__(
+        self,
+        kind: GateKind,
+        targets: Iterable[int],
+        controls: Iterable[int] = (),
+        payload: str | None = None,
+        angle: float | None = None,
+    ) -> None:
+        fields = self.__dict__  # frozen: __setattr__ refuses every assignment
+        fields["kind"] = kind
+        fields["targets"] = _qubits(targets)
+        fields["controls"] = _qubits(controls)
+        fields["payload"] = payload
+        fields["angle"] = angle
+        fields["_valid_for"] = set()
+        fields["_pairs_for"] = {}
+        fields["_kernel_for"] = {}
 
     # -- constructors ------------------------------------------------------
 
@@ -479,18 +527,18 @@ class GateOp:
 
     def validate(self, layout: RegisterLayout) -> None:
         total = layout.total_qubits
-        if total in self._valid_for:
-            return
-        self._check(total)
-        self._valid_for.add(total)
+        if total not in self._valid_for:
+            self._check(total)
 
     def _check(self, total: int) -> None:
-        touched = self.qubits
+        """Raise ValueError if the op is malformed on `total` qubits, else
+        remember that it passed."""
+        touched = self.targets + self.controls
         if not self.targets:
             raise ValueError(f"{self.kind.value} op has no targets")
-        for q in touched:
-            if not 0 <= q < total:
-                raise ValueError(f"qubit {q} out of range for {total}-qubit layout")
+        if min(touched) < 0 or max(touched) >= total:
+            q = next(q for q in touched if not 0 <= q < total)
+            raise ValueError(f"qubit {q} out of range for {total}-qubit layout")
         if len(set(touched)) != len(touched):
             raise ValueError(f"{self.kind.value} op reuses a qubit: {touched}")
 
@@ -498,15 +546,30 @@ class GateOp:
         if kind in (GateKind.X, GateKind.H, GateKind.RY):
             if len(self.targets) != 1 or self.controls:
                 raise ValueError(f"{kind.value} takes exactly one target and no controls")
-            if kind is GateKind.RY and self.angle is None:
-                raise ValueError("RY requires an angle")
         elif kind is GateKind.CNOT:
             if len(self.targets) != 1 or len(self.controls) != 1:
                 raise ValueError("CNOT takes exactly one control and one target")
         elif kind is GateKind.MULTI_X:
             if self.controls:
                 raise ValueError("MULTI_X takes no controls")
-        elif kind is GateKind.ENCODE_MU:
+        elif kind is GateKind.TRANSVERSAL_CNOT:
+            if len(self.controls) != len(self.targets):
+                raise ValueError(
+                    "TRANSVERSAL_CNOT pairs registers bitwise; control and "
+                    "target widths must match"
+                )
+        elif kind is not GateKind.ENCODE_MU:  # pragma: no cover - enum is closed
+            raise ValueError(f"unknown gate kind {kind!r}")
+        self._check_parameter()
+        self._valid_for.add(total)
+
+    def _check_parameter(self) -> None:
+        """The checks on the one field _derive replaces: an RY's angle, an
+        ENCODE_MU's payload (against its target count)."""
+        if self.kind is GateKind.RY:
+            if self.angle is None:
+                raise ValueError("RY requires an angle")
+        elif self.kind is GateKind.ENCODE_MU:
             if self.payload is None:
                 raise ValueError("ENCODE_MU requires a payload bit-string")
             check_bits(self.payload, "ENCODE_MU payload")
@@ -515,14 +578,29 @@ class GateOp:
                     f"ENCODE_MU payload width {len(self.payload)} != "
                     f"target register width {len(self.targets)}"
                 )
-        elif kind is GateKind.TRANSVERSAL_CNOT:
-            if len(self.controls) != len(self.targets):
-                raise ValueError(
-                    "TRANSVERSAL_CNOT pairs registers bitwise; control and "
-                    "target widths must match"
-                )
-        else:  # pragma: no cover - enum is closed
-            raise ValueError(f"unknown gate kind {kind!r}")
+
+    def _derive(self, parameter: str | float) -> "GateOp":
+        """This ENCODE_MU op with payload `parameter`, or this RY op with
+        angle float(parameter).
+
+        Only _check_parameter reads that field, so the copy runs it alone and
+        then takes on every width this op has passed validation for; its
+        flip pairs and kernels are compiled afresh.
+        """
+        op = _new_op()
+        fields = op.__dict__
+        fields.update(self.__dict__)
+        if self.kind is GateKind.RY:
+            fields["angle"] = float(parameter)
+        elif self.kind is GateKind.ENCODE_MU:
+            fields["payload"] = parameter
+        else:
+            raise ValueError(f"{self.kind.value} has no parameter to replace")
+        fields["_pairs_for"] = {}
+        fields["_kernel_for"] = {}
+        op._check_parameter()
+        fields["_valid_for"] = set(self._valid_for)
+        return op
 
     def inverse(self) -> "GateOp":
         """Inverse gate; every kind here is self-inverse except RY."""
@@ -531,18 +609,38 @@ class GateOp:
         return self
 
 
-def _checkpoint_pairs(checkpoints: Iterable[tuple[int, str]]) -> tuple[tuple[int, str], ...]:
-    """Checkpoints as a tuple of (int, str) pairs; one that is already so is
-    returned as it is."""
-    if type(checkpoints) is tuple:
-        for pair in checkpoints:
-            if type(pair) is not tuple or len(pair) != 2:
-                break
-            if type(pair[0]) is not int or type(pair[1]) is not str:
-                break
-        else:
-            return checkpoints
-    return tuple((_integer(i, "checkpoint op index"), str(l)) for i, l in checkpoints)
+_new_op = partial(object.__new__, GateOp)
+
+
+class _CheckpointTable(tuple):
+    """A circuit's checkpoints as (int, str) pairs, normalised once.
+
+    Built only by _checkpoint_table, which also records what every circuit
+    sharing the table needs: the labels to snapshot after each op index, in
+    table order (labels_at), the lowest and highest op index, and whether a
+    label repeats. The range of the indices depends on the circuit's op
+    count and is checked by each Circuit.
+    """
+
+    labels_at: dict[int, tuple[str, ...]]
+    span: tuple[int, int]
+    repeats: bool
+
+
+def _checkpoint_table(checkpoints: Iterable[tuple[int, str]]) -> _CheckpointTable:
+    """checkpoints as a _CheckpointTable; one that already is so is returned."""
+    if type(checkpoints) is _CheckpointTable:
+        return checkpoints
+    table = _CheckpointTable(
+        (_integer(i, "checkpoint op index"), str(l)) for i, l in checkpoints
+    )
+    labels_at: dict[int, tuple[str, ...]] = {}
+    for op_index, label in table:
+        labels_at[op_index] = labels_at.get(op_index, ()) + (label,)
+    table.labels_at = labels_at
+    table.span = (min(labels_at, default=0), max(labels_at, default=-1))
+    table.repeats = len({label for _, label in table}) != len(table)
+    return table
 
 
 @dataclass(frozen=True)
@@ -550,27 +648,41 @@ class Circuit:
     """Validated gate sequence with labeled checkpoints.
 
     A checkpoint (op_index, label) snapshots the state right after
-    ops[op_index] has been applied.
+    ops[op_index] has been applied. Construction validates each op not yet
+    validated for the layout's width (GateOp.validate) and checks the
+    checkpoint table; a table taken from another Circuit is not normalised
+    again. __init__ is written out for the reason GateOp gives.
     """
 
     layout: RegisterLayout
     ops: tuple[GateOp, ...]
     checkpoints: tuple[tuple[int, str], ...] = ()
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "ops", tuple(self.ops))
-        object.__setattr__(self, "checkpoints", _checkpoint_pairs(self.checkpoints))
-        for op in self.ops:
-            op.validate(self.layout)
-        labels = [label for _, label in self.checkpoints]
-        if len(set(labels)) != len(labels):
-            raise ValueError(f"duplicate checkpoint labels in {labels}")
-        for op_index, label in self.checkpoints:
-            if not 0 <= op_index < len(self.ops):
-                raise ValueError(
-                    f"checkpoint {label!r} attached to op {op_index}, "
-                    f"but circuit has {len(self.ops)} ops"
-                )
+    def __init__(
+        self,
+        layout: RegisterLayout,
+        ops: Iterable[GateOp],
+        checkpoints: Iterable[tuple[int, str]] = (),
+    ) -> None:
+        ops = tuple(ops)
+        table = _checkpoint_table(checkpoints)
+        fields = self.__dict__  # frozen: __setattr__ refuses every assignment
+        fields["layout"] = layout
+        fields["ops"] = ops
+        fields["checkpoints"] = table
+        total = layout.total_qubits
+        for op in ops:
+            if total not in op._valid_for:
+                op._check(total)
+        if table.repeats:
+            raise ValueError(f"duplicate checkpoint labels in {[l for _, l in table]}")
+        first, last = table.span
+        if first < 0 or last >= len(ops):
+            op_index, label = next(p for p in table if not 0 <= p[0] < len(ops))
+            raise ValueError(
+                f"checkpoint {label!r} attached to op {op_index}, "
+                f"but circuit has {len(ops)} ops"
+            )
 
     @property
     def gate_count(self) -> int:
@@ -644,22 +756,60 @@ def _permute(
     return out.reshape(-1)
 
 
-def _permute_support(
-    support: dict[int, complex], pairs: tuple[tuple[int, int], ...]
-) -> dict[int, complex]:
-    """Move each amplitude to the index the pairs send its index to."""
+def _flip_support(cmask: int, fmask: int, support: dict[int, complex]) -> dict[int, complex]:
+    """One (control mask, flip mask) pair on a support dict: each amplitude
+    moves to its index with the F bits flipped when all its C bits are set."""
     out = {}
     for index, amp in support.items():
-        for cmask, fmask in pairs:
-            if index & cmask == cmask:
-                index ^= fmask
+        if index & cmask == cmask:
+            index ^= fmask
         out[index] = amp
     return out
 
 
-def _mix(op: GateOp, a0, a1) -> Iterator:
-    """H or RY on (target = 0, target = 1) amplitude pairs: yields the new
-    target-0 value, then the new target-1 value.
+def _fold(pairs: tuple[tuple[int, int], ...]) -> tuple[tuple[int, int, int], ...]:
+    """A transversal CNOT's one-bit pairs as (control mask, right shift,
+    left shift), one triple per control-to-target distance.
+
+    The pairs touch pairwise-distinct qubits, so no pair changes another's
+    control bit: they commute, and together they map index to
+    index ^ spread(index), where spread moves each control bit to its
+    target's position: (index & control mask) >> right << left, per triple.
+    """
+    masks: dict[int, int] = {}
+    for cmask, fmask in pairs:
+        distance = cmask.bit_length() - fmask.bit_length()
+        masks[distance] = masks.get(distance, 0) | cmask
+    return tuple((cmask, max(d, 0), max(-d, 0)) for d, cmask in masks.items())
+
+
+def _shift_support(
+    folded: tuple[tuple[int, int, int], ...], support: dict[int, complex]
+) -> dict[int, complex]:
+    """A transversal CNOT on a support dict, one pass per triple of its
+    _fold: no triple moves a control bit, so the passes commute."""
+    for cmask, right, left in folded:
+        out = {}
+        for index, amp in support.items():
+            out[index ^ ((index & cmask) >> right << left)] = amp
+        support = out
+    return support
+
+
+_Coefficients = tuple[complex, complex] | None
+
+
+def _coefficients(op: GateOp) -> _Coefficients:
+    """None for H, (cos, sin) of half the angle, as complex, for RY."""
+    if op.kind is GateKind.H:
+        return None
+    return complex(math.cos(op.angle / 2.0)), complex(math.sin(op.angle / 2.0))
+
+
+def _mix(coeffs: _Coefficients, a0, a1) -> Iterator:
+    """H (coeffs None) or RY (coeffs from _coefficients) on (target = 0,
+    target = 1) amplitude pairs: yields the new target-0 value, then the new
+    target-1 value.
 
     Works elementwise on arrays and on Python complex scalars alike. numpy
     multiplies by a real scalar as by c + 0j, in full: (x + yj)(c + 0j) =
@@ -673,35 +823,65 @@ def _mix(op: GateOp, a0, a1) -> Iterator:
     -0.0, which a dense array would hold where the support form lists
     nothing.
     """
-    if op.kind is GateKind.H:
+    if coeffs is None:
         yield (a0 + a1) * _SQRT_HALF_J
         yield (a0 - a1) * _SQRT_HALF_J
     else:
-        c, s = complex(math.cos(op.angle / 2.0)), complex(math.sin(op.angle / 2.0))
+        c, s = coeffs
         yield c * a0 - s * a1 + 0j
         yield s * a0 + c * a1 + 0j
 
 
-def _apply_kernel(held: _Held, op: GateOp, total: int) -> _Held:
-    """One gate on either form: a read-only amplitude array or a support dict."""
-    mixing = op.kind is GateKind.H or op.kind is GateKind.RY
-    if type(held) is dict:
-        if not mixing:
-            return _permute_support(held, flip_pairs(op, total))
-        # Every pair with a listed entry is computed through _mix, with an
-        # unlisted partner read as the 0j a dense array holds, and kept even
-        # when it comes out zero, so both forms end with identical bytes.
-        bit = 1 << (total - 1 - op.targets[0])
-        out = {}
-        for low in {index & ~bit for index in held}:
-            high = low | bit
-            out[low], out[high] = _mix(op, held.get(low, 0j), held.get(high, 0j))
-        return out
-    if mixing:
+def _mix_support(
+    coeffs: _Coefficients, bit: int, held: dict[int, complex]
+) -> dict[int, complex]:
+    """H or RY on the target qubit whose global-index bit is `bit`.
+
+    Every pair with a listed entry is computed through _mix, with an
+    unlisted partner read as the 0j a dense array holds, and kept even when
+    it comes out zero, so both forms end with identical bytes.
+    """
+    out = {}
+    for low in {index & ~bit for index in held}:
+        high = low | bit
+        out[low], out[high] = _mix(coeffs, held.get(low, 0j), held.get(high, 0j))
+    return out
+
+
+_SupportKernel = Callable[[dict[int, complex]], dict[int, complex]]
+
+
+def _support_kernel(op: GateOp, total: int) -> _SupportKernel:
+    """The op on a support dict over `total` qubits, compiled once per op
+    and count and kept next to its flip pairs.
+
+    A transversal CNOT runs from the _fold of its pairs; every other
+    permuting kind compiles to one pair, run by _flip_support; H and RY run
+    through _mix_support. A kernel holds only masks and coefficients, never
+    the op, so it makes no reference cycle.
+    """
+    kernel = op._kernel_for.get(total)
+    if kernel is None:
+        kind = op.kind
+        if kind is GateKind.H or kind is GateKind.RY:
+            bit = 1 << (total - 1 - op.targets[0])
+            kernel = partial(_mix_support, _coefficients(op), bit)
+        elif kind is GateKind.TRANSVERSAL_CNOT:
+            kernel = partial(_shift_support, _fold(flip_pairs(op, total)))
+        else:
+            (pair,) = flip_pairs(op, total)
+            kernel = partial(_flip_support, *pair)
+        op._kernel_for[total] = kernel
+    return kernel
+
+
+def _dense_kernel(op: GateOp, total: int, held: np.ndarray) -> np.ndarray:
+    """One gate on a read-only amplitude array; the output is read-only."""
+    if op.kind is GateKind.H or op.kind is GateKind.RY:
         t = op.targets[0]
         a = held.reshape(1 << t, 2, 1 << (total - 1 - t))
         out = np.empty_like(a)
-        mixed = _mix(op, a[:, 0, :], a[:, 1, :])
+        mixed = _mix(_coefficients(op), a[:, 0, :], a[:, 1, :])
         out[:, 0, :] = next(mixed)
         out[:, 1, :] = next(mixed)
         out = out.reshape(-1)
@@ -718,8 +898,10 @@ def _held(state: StateVector) -> _Held:
 def apply_gate(state: StateVector, op: GateOp) -> StateVector:
     """Apply one gate; returns a new state, input untouched."""
     op.validate(state.layout)
-    held = _apply_kernel(_held(state), op, state.layout.total_qubits)
-    return _state(state.layout, held)
+    total, held = state.layout.total_qubits, _held(state)
+    if type(held) is dict:
+        return _state(state.layout, _support_kernel(op, total)(held))
+    return _state(state.layout, _dense_kernel(op, total, held))
 
 
 def apply_circuit(
@@ -727,25 +909,26 @@ def apply_circuit(
 ) -> tuple[StateVector, dict[str, StateVector]]:
     """Run a circuit, returning the final state and checkpoint snapshots.
 
-    Snapshots are keyed by checkpoint label, in execution order. An empty
-    circuit returns the input state unchanged and no snapshots. The state
-    keeps its form throughout.
+    Snapshots are keyed by checkpoint label, in execution order, and the
+    labels of one op in checkpoint-table order. An empty circuit returns
+    the input state unchanged and no snapshots. The state keeps its form
+    throughout.
     """
     layout = state.layout
     if circuit.layout is not layout and circuit.layout != layout:
         raise ValueError("circuit layout does not match state layout")
     if not circuit.ops:
         return state, {}
-    snap_at: dict[int, list[str]] = {}
-    for op_index, label in circuit.checkpoints:
-        snap_at.setdefault(op_index, []).append(label)
-
-    total = layout.total_qubits
-    held = _held(state)
+    labels_at = circuit.checkpoints.labels_at
+    total, held = layout.total_qubits, _held(state)
+    if type(held) is dict:
+        kernels = map(_support_kernel, circuit.ops, repeat(total))
+    else:
+        kernels = (partial(_dense_kernel, op, total) for op in circuit.ops)
     snapshots: dict[str, StateVector] = {}
-    for i, op in enumerate(circuit.ops):
-        held = _apply_kernel(held, op, total)
-        for label in snap_at.get(i, ()):
+    for i, kernel in enumerate(kernels):
+        held = kernel(held)
+        for label in labels_at.get(i, ()):
             snapshots[label] = _state(layout, held)
     return _state(layout, held), snapshots
 

@@ -105,18 +105,59 @@ MUTANTS = (
     Mutant(
         "validation remembered regardless of width",
         "branchcomm/statevec.py",
-        "if total in self._valid_for:",
-        "if self._valid_for:",
+        "if total not in self._valid_for:",
+        "if not self._valid_for:",
         ("tests/test_statevec.py::test_gateop_remembers_only_passed_validation_per_width",),
     ),
     Mutant(
         "support-held H written as a0 * SQRT_HALF + a1 * SQRT_HALF",
         "branchcomm/statevec.py",
-        "out[low], out[high] = _mix(op, held.get(low, 0j), held.get(high, 0j))",
+        "out[low], out[high] = _mix(coeffs, held.get(low, 0j), held.get(high, 0j))",
         "a0, a1 = held.get(low, 0j), held.get(high, 0j); out[low], out[high] = "
         "(a0 * SQRT_HALF + a1 * SQRT_HALF, a0 * SQRT_HALF - a1 * SQRT_HALF) "
-        "if kind is GateKind.H else _mix(op, a0, a1)",
+        "if coeffs is None else _mix(coeffs, a0, a1)",
         ("tests/test_statevec.py::test_mixing_kernel_agrees_bit_for_bit_in_both_forms",),
+    ),
+    Mutant(
+        "folded transversal CNOT shifts each control bit the wrong way",
+        "branchcomm/statevec.py",
+        "distance = cmask.bit_length() - fmask.bit_length()",
+        "distance = fmask.bit_length() - cmask.bit_length()",
+        (
+            "tests/test_statevec.py::test_folded_transversal_cnot_matches_pair_by_pair",
+            "tests/test_acceptance.py::test_criterion_2_checkpoint_sweep",
+        ),
+    ),
+    Mutant(
+        "Circuit marks an op it has not seen as valid without checking it",
+        "branchcomm/statevec.py",
+        "                op._check(total)\n",
+        "                op._valid_for.add(total)\n",
+        (
+            "tests/test_statevec.py::test_circuit_checks_each_op_not_yet_valid_for_its_width",
+            "tests/test_protocol.py::test_circuits_over_shared_ops_still_validate_their_fresh_ops",
+        ),
+    ),
+    Mutant(
+        "a derived op takes on its template's widths without checking its parameter",
+        "branchcomm/statevec.py",
+        "        op._check_parameter()\n",
+        "",
+        ("tests/test_protocol.py::test_circuits_over_shared_ops_still_validate_their_fresh_ops",),
+    ),
+    Mutant(
+        "StateVector repr names the other held form",
+        "branchcomm/statevec.py",
+        'form = "support" if self._support is not None else "amplitudes"',
+        'form = "support" if self._support is None else "amplitudes"',
+        ("tests/test_statevec.py::test_repr_names_the_held_form",),
+    ),
+    Mutant(
+        "run writes the document to stdout's buffer before earlier text",
+        "branchcomm/cli.py",
+        "    out.flush()\n    buffer.writelines(chunks)\n",
+        "    buffer.writelines(chunks)\n",
+        ("tests/test_cli.py::test_run_stdout_keeps_earlier_text_first_and_needs_no_buffer",),
     ),
     Mutant(
         "check_bits also accepts the digit 2",

@@ -1,7 +1,12 @@
+import contextlib
 import errno
+import io
 import json
 import math
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -215,6 +220,72 @@ def test_run_file_is_written_without_the_whole_text(capsys, tmp_path, monkeypatc
     assert (code, out) == (0, "")
     assert "verdict: success" in err
     assert path.read_text(encoding="ascii") == expected
+
+
+def test_run_stdout_is_written_without_the_whole_text(capsys, monkeypatch):
+    message = Message("10110")
+    expected = json_dumps_document(run_protocol(ProtocolConfig(n=5), message), message)
+
+    def refuse(*args):
+        raise AssertionError("built the whole text or a dense array")
+
+    monkeypatch.setattr(cli, "run_document", refuse)
+    monkeypatch.setattr(statevec, "dense_amplitudes", refuse)
+    code, out, err = run_cli(capsys, "run", "--message", "10110")
+    assert code == 0 and "verdict: success" in err
+    assert out == expected + "\n"
+
+
+def test_run_stdout_keeps_earlier_text_first_and_needs_no_buffer():
+    message = Message("101")
+    expected = json_dumps_document(run_protocol(ProtocolConfig(n=3), message), message)
+    stream = io.TextIOWrapper(io.BytesIO(), encoding="ascii")  # buffers its text
+    stream.write("earlier\n")
+    with contextlib.redirect_stdout(stream), contextlib.redirect_stderr(io.StringIO()):
+        assert main(["run", "--message", "101"]) == 0
+    stream.flush()
+    assert stream.buffer.getvalue() == f"earlier\n{expected}\n".encode("ascii")
+
+    text = io.StringIO()  # no .buffer: the chunks are written as text
+    with contextlib.redirect_stdout(text), contextlib.redirect_stderr(io.StringIO()):
+        assert main(["run", "--message", "101"]) == 0
+    assert text.getvalue() == expected + "\n"
+
+
+# Peak RSS of `run` at n = 8 to stdout. The document is 171,967,059 bytes
+# (164 MiB); streamed, the process stays near the interpreter and numpy's
+# own ~30 MiB, where joining the text first peaked at about 358 MiB.
+RUN_STDOUT_MAX_RSS_MIB = 96
+
+
+def test_run_stdout_at_n8_holds_no_whole_document():
+    """`run` at n = 8 with stdout on /dev/null, its peak read as
+    RUSAGE_CHILDREN ru_maxrss by a small parent process.
+
+    Linux carries the peak RSS of the process that spawns a child into the
+    child's ru_maxrss at exec, so the test process (well past the bound
+    after the rest of the suite) cannot spawn the run and read it directly.
+    """
+    src = Path(cli.__file__).resolve().parents[1]
+    parent = (
+        "import resource, subprocess, sys\n"
+        "code = subprocess.run(\n"
+        "    [sys.executable, '-m', 'branchcomm.cli', 'run', '--message', '10110101'],\n"
+        "    stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,\n"
+        ").returncode\n"
+        "print(code, resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss)\n"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", parent],
+        env=dict(os.environ, PYTHONPATH=str(src)),
+        stdout=subprocess.PIPE,
+        text=True,
+        check=True,
+    )
+    code, peak = map(int, done.stdout.split())
+    assert code == 0
+    peak_mib = peak / 2**20 if sys.platform == "darwin" else peak / 2**10  # bytes or KiB
+    assert peak_mib < RUN_STDOUT_MAX_RSS_MIB, peak_mib
 
 
 def test_run_writes_output_file(capsys, tmp_path):

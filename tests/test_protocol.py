@@ -1,6 +1,7 @@
 import dataclasses
 import itertools
 import math
+import re
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from branchcomm.protocol import (
     run_protocol,
 )
 from branchcomm.statevec import (
+    Circuit,
     GateKind,
     GateOp,
     RegisterLayout,
@@ -231,6 +233,37 @@ def test_wide_friend_ops_are_message_independent():
                         assert op == base_op, (f0, f1, message.bits, op)
                         compared += 1
     assert compared > 0
+
+
+def test_circuits_over_shared_ops_still_validate_their_fresh_ops():
+    """The shared ops and checkpoint table have passed validation; a fresh
+    op next to them is checked in full, with today's error texts."""
+    circuit = build_protocol_circuit(ProtocolConfig(n=3, amp0=0.6, amp1=0.8), Message("101"))
+    ops, layout = list(circuit.ops), circuit.layout  # 9 qubits
+    (e,) = [i for i, op in enumerate(ops) if op.kind is GateKind.ENCODE_MU]
+    encoder = ops[e]
+    for payload, text in (
+        ("1x1", "ENCODE_MU payload must be a nonempty string over {0,1}, got '1x1'"),
+        ("10", "ENCODE_MU payload width 2 != target register width 3"),
+    ):
+        bad = GateOp(GateKind.ENCODE_MU, encoder.targets, encoder.controls, payload=payload)
+        with pytest.raises(ValueError, match=re.escape(text)):
+            Circuit(layout, (*ops[:e], bad, *ops[e + 1 :]), circuit.checkpoints)
+        with pytest.raises(ValueError, match=re.escape(text)):
+            encoder._derive(payload)
+    stray = GateOp.x(9)
+    with pytest.raises(ValueError, match=re.escape("qubit 9 out of range for 9-qubit layout")):
+        Circuit(layout, (*ops, stray), circuit.checkpoints)
+
+    # Every op here passed for 9 qubits, none for 5: each is checked again.
+    narrow = protocol_layout(1)
+    text = "qubit 5 out of range for 5-qubit layout"
+    with pytest.raises(ValueError, match=re.escape(text)):
+        Circuit(narrow, circuit.ops)
+    with pytest.raises(ValueError, match=re.escape(text)):
+        Circuit(narrow, (encoder._derive("011"),))
+    with pytest.raises(ValueError, match="checkpoint 'eq8' attached to op 6, but circuit has 6 ops"):
+        Circuit(layout, ops[:6], circuit.checkpoints)
 
 
 def test_builder_rejects_malformed_snapshots():

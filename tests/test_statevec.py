@@ -284,6 +284,20 @@ def test_circuit_validation():
         apply_circuit(zero_state(protocol_layout(1)), Circuit(QRF, (GateOp.x(0),)))
 
 
+def test_circuit_checks_each_op_not_yet_valid_for_its_width():
+    seen = GateOp.x(3)
+    Circuit(protocol_layout(1), (seen,))  # 5 qubits: qubit 3 exists
+    for ops, text in (
+        ((GateOp.x(0), GateOp.cnot(1, 1)), "CNOT op reuses a qubit: (1, 1)"),
+        ((GateOp.x(0), seen), "qubit 3 out of range for 3-qubit layout"),
+        ((GateOp.encode("1", (0,)), GateOp.encode("12", (1, 2))),
+         "ENCODE_MU payload must be a nonempty string over {0,1}, got '12'"),
+    ):
+        for _ in range(2):  # a rejected op is checked again
+            with pytest.raises(ValueError, match=re.escape(text)):
+                Circuit(QRF, ops)
+
+
 def test_circuit_rejects_non_integral_checkpoint_indices():
     ops = (GateOp.x(0), GateOp.x(1))
     for index in (0.5, 1.0, "1"):
@@ -291,6 +305,81 @@ def test_circuit_rejects_non_integral_checkpoint_indices():
         with pytest.raises(ValueError, match=re.escape(text)):
             Circuit(QRF, ops, ((index, "a"),))
     assert Circuit(QRF, ops, ((np.int64(1), "a"),)).checkpoints == ((1, "a"),)
+
+
+def test_snapshots_follow_op_order_then_table_order():
+    ops = (GateOp.x(0), GateOp.x(1), GateOp.x(2))
+    table = ((2, "c"), (0, "a2"), (1, "b"), (0, "a1"))
+    circuit = Circuit(QRF, ops, table)
+    assert circuit.checkpoints == table
+    expected = {"a2": 0b100, "a1": 0b100, "b": 0b110, "c": 0b111}
+    for start in (zero_state(QRF), StateVector(QRF, zero_state(QRF).amplitudes)):
+        final, snapshots = apply_circuit(start, circuit)
+        assert list(snapshots) == list(expected)
+        for label, index in expected.items():
+            assert snapshots[label].nonzero_items() == [(index, 1 + 0j)]
+        assert snapshots["a2"] is not snapshots["a1"]
+        assert final == snapshots["c"] and final is not snapshots["c"]
+
+    # A second circuit over the same table checks it against its own ops.
+    again = Circuit(QRF, (GateOp.x(2), GateOp.x(1), GateOp.x(0)), circuit.checkpoints)
+    assert again.checkpoints is circuit.checkpoints
+    assert list(apply_circuit(zero_state(QRF), again)[1]) == ["a2", "a1", "b", "c"]
+    with pytest.raises(ValueError, match="checkpoint 'c' attached to op 2, but circuit has 2 ops"):
+        Circuit(QRF, ops[:2], circuit.checkpoints)
+    with pytest.raises(ValueError, match="checkpoint 'neg' attached to op -1, but circuit has 3 ops"):
+        Circuit(QRF, ops, ((0, "a"), (-1, "neg")))
+    with pytest.raises(ValueError, match=re.escape("duplicate checkpoint labels in ['a', 'b', 'a']")):
+        Circuit(QRF, ops, ((0, "a"), (1, "b"), (2, "a")))
+
+
+def test_folded_transversal_cnot_matches_pair_by_pair():
+    """The support kernel applies a transversal CNOT as one map per
+    control-to-target distance; the dense kernel applies its flip pairs one
+    by one. Both give the same bytes, for distances that differ in size and
+    in sign."""
+    rng = np.random.default_rng(20261020)
+    fixed = [((0, 1), (3, 2)), ((3, 2), (0, 1)), ((0, 3), (2, 1))]
+    several_distances = 0
+    for total in (4, 5, 6, 7):
+        layout = RegisterLayout((("q", total),))
+        for trial in range(30):
+            if trial < len(fixed):
+                controls, targets = fixed[trial]
+            else:
+                width = int(rng.integers(1, total // 2 + 1))
+                qubits = rng.permutation(total)[: 2 * width].tolist()
+                controls, targets = qubits[:width], qubits[width:]
+            op = GateOp.transversal_cnot(controls, targets)
+            pairs = flip_pairs(op, total)
+            distances = {c.bit_length() - f.bit_length() for c, f in pairs}
+            several_distances += len(distances) > 1
+
+            size = int(rng.integers(2, min(12, layout.dim) + 1))
+            indices = rng.choice(layout.dim, size=size, replace=False).tolist()
+            values = rng.normal(size=size) + 1j * rng.normal(size=size)
+            held = StateVector(layout, support=dict(zip(indices, values.tolist())))
+            folded = apply_gate(held, op)
+            paired = apply_gate(StateVector(layout, held.amplitudes), op)
+            assert not folded.dense_held and paired.dense_held
+            assert folded.amplitudes.tobytes() == paired.amplitudes.tobytes()
+
+            moved = {}
+            for index, amp in held.listed_items():
+                for cmask, fmask in pairs:
+                    if index & cmask == cmask:
+                        index ^= fmask
+                moved[index] = amp
+            assert folded.listed_items() == list(moved.items())
+    assert several_distances >= 20
+
+
+def test_repr_names_the_held_form():
+    held = StateVector(QRF, support={5: 0.6, 1: 0.8j})
+    assert repr(held) == f"StateVector(layout={QRF!r}, support={{5: (0.6+0j), 1: 0.8j}})"
+    dense = StateVector(QRF, held.amplitudes)
+    assert repr(dense) == f"StateVector(layout={QRF!r}, amplitudes={dense.amplitudes!r})"
+    assert repr(dense).count("0.8j") == 1 and "support=" not in repr(dense)
 
 
 def test_gate_count_and_layer_depth():
