@@ -34,9 +34,6 @@ class Branch:
     arrays from a dense-held one); `component` is the same projection as a
     full-length dense array (unnormalized, read-only), built on first
     access, so decompositions can be re-summed and re-projected.
-
-    __init__ is written out, as GateOp's is: a frozen dataclass's own
-    __init__ stores each field through object.__setattr__.
     """
 
     label: str
@@ -45,20 +42,6 @@ class Branch:
     layout: RegisterLayout = field(compare=False, repr=False)
     indices: Sequence[int] = field(compare=False, repr=False)
     values: Sequence[complex] = field(compare=False, repr=False)
-
-    def __init__(
-        self,
-        label: str,
-        amplitude: complex,
-        local_state: dict[str, str] | None,
-        layout: RegisterLayout,
-        indices: Sequence[int],
-        values: Sequence[complex],
-    ) -> None:
-        self.__dict__.update(
-            label=label, amplitude=amplitude, local_state=local_state,
-            layout=layout, indices=indices, values=values,
-        )
 
     @cached_property
     def component(self) -> np.ndarray:
@@ -162,7 +145,6 @@ class TransferVerdict:
     On success, failure_reason is None; `note` carries advisories such as a
     blank message having been transferred. Register fields hold what the
     decomposition found and stay None when a branch could not be read.
-    __init__ is written out, as Branch's is.
     """
 
     success: bool
@@ -172,22 +154,9 @@ class TransferVerdict:
     failure_reason: str | None = None
     note: str | None = None
 
-    def __init__(
-        self,
-        success: bool,
-        receiver_paper: str | None = None,
-        receiver_memory: str | None = None,
-        sender_paper: str | None = None,
-        failure_reason: str | None = None,
-        note: str | None = None,
-    ) -> None:
-        if success and failure_reason is not None:
+    def __post_init__(self) -> None:
+        if self.success and self.failure_reason is not None:
             raise ValueError("a successful verdict cannot carry a failure reason")
-        self.__dict__.update(
-            success=success, receiver_paper=receiver_paper,
-            receiver_memory=receiver_memory, sender_paper=sender_paper,
-            failure_reason=failure_reason, note=note,
-        )
 
 
 def evaluate_transfer(

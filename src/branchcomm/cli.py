@@ -229,19 +229,11 @@ def _write_chunks(chunks: Iterable[bytes | memoryview], output_path: str) -> Non
 
 
 def _write_stdout(chunks: Iterable[bytes | memoryview]) -> None:
-    """Write the chunks and a final newline to stdout, one chunk at a time,
-    so the document is never held whole: as bytes to sys.stdout.buffer,
-    after flushing the text layer so earlier text stays first, or, for a
-    stream with no buffer (a caller's StringIO), as decoded text."""
+    """Write the chunks, decoded, and a final newline to stdout one chunk at
+    a time, so the document is never held whole."""
     out = sys.stdout
-    buffer = getattr(out, "buffer", None)
-    if buffer is None:
-        out.writelines(str(chunk, "ascii") for chunk in chunks)
-        out.write("\n")
-        return
-    out.flush()
-    buffer.writelines(chunks)
-    buffer.write(b"\n")
+    out.writelines(str(chunk, "ascii") for chunk in chunks)
+    out.write("\n")
 
 
 def _emit(text: str, output_path: str | None) -> None:

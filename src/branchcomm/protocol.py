@@ -94,8 +94,7 @@ class ProtocolConfig:
     """Parameters of one protocol run.
 
     Amplitudes are restricted to real non-negative values normalized to
-    |amp0|^2 + |amp1|^2 = 1 within 1e-12. __init__ is written out for the
-    reason statevec.GateOp gives.
+    |amp0|^2 + |amp1|^2 = 1 within 1e-12.
     """
 
     n: int = 1
@@ -104,18 +103,12 @@ class ProtocolConfig:
     uncompute_memory: bool = True
     apply_branch_swap: bool = True
 
-    def __init__(
-        self,
-        n: int = 1,
-        amp0: float = SQRT_HALF,
-        amp1: float = SQRT_HALF,
-        uncompute_memory: bool = True,
-        apply_branch_swap: bool = True,
-    ) -> None:
-        width = _integer(n, "message width")
-        if width < 1 or isinstance(n, bool):
-            raise ValueError(f"message width must be an int >= 1, got {n!r}")
-        for name, amp in (("amp0", amp0), ("amp1", amp1)):
+    def __post_init__(self) -> None:
+        n = _integer(self.n, "message width")
+        if n < 1 or isinstance(self.n, bool):
+            raise ValueError(f"message width must be an int >= 1, got {self.n!r}")
+        object.__setattr__(self, "n", n)
+        for name, amp in (("amp0", self.amp0), ("amp1", self.amp1)):
             real = type(amp) is float or (
                 isinstance(amp, numbers.Real) and not isinstance(amp, bool)
             )
@@ -123,15 +116,11 @@ class ProtocolConfig:
                 raise ValueError(f"{name} must be a finite real, got {amp!r}")
             if amp < 0:
                 raise ValueError(f"{name} must be non-negative, got {amp}")
-        total = amp0 * amp0 + amp1 * amp1
+        total = self.amp0 * self.amp0 + self.amp1 * self.amp1
         if abs(total - 1.0) > AMP_TOL:
             raise ValueError(
                 f"amplitudes must satisfy amp0^2 + amp1^2 = 1, got {total!r}"
             )
-        self.__dict__.update(
-            n=width, amp0=amp0, amp1=amp1,
-            uncompute_memory=uncompute_memory, apply_branch_swap=apply_branch_swap,
-        )
 
 
 @dataclass(frozen=True)
@@ -142,15 +131,8 @@ class ProtocolRun:
     checkpoints: Mapping[str, StateVector]
     final: StateVector
 
-    def __init__(
-        self,
-        config: ProtocolConfig,
-        checkpoints: Mapping[str, StateVector],
-        final: StateVector,
-    ) -> None:
-        self.__dict__.update(
-            config=config, checkpoints=MappingProxyType(dict(checkpoints)), final=final
-        )
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "checkpoints", MappingProxyType(dict(self.checkpoints)))
 
 
 class _SharedParts(NamedTuple):

@@ -37,10 +37,10 @@ valid for its width; its checkpoint table is normalised once, with the
 labels to snapshot after each op, and a Circuit built over another's table
 reuses it, checking only its indices against its own op count.
 GateOp._derive copies a validated ENCODE_MU or RY op with a new payload or
-angle, checks that field alone and keeps the widths the original passed:
-the protocol builds its two per-run ops that way. protocol_layout is
-cached, since a RegisterLayout is immutable, and zero_state holds
-{0: 1+0j}, the all-zero index in every layout.
+angle and reruns only the checks that read that field: the protocol builds
+its two per-run ops that way, from templates it validated once.
+protocol_layout is cached, since a RegisterLayout is immutable, and
+zero_state holds {0: 1+0j}, the all-zero index in every layout.
 
 H and RY mix the two values of one qubit. Both forms compute each (i, i|t)
 pair with the expressions written once in _mix: the dense kernel on numpy
@@ -453,11 +453,6 @@ class GateOp:
     remembers, per count, that it passed validate and what flip_pairs and
     the support kernel compiled it to; a rejected op is not remembered and
     raises every time. No memo takes part in ==, hash or repr.
-
-    __init__ is written out rather than generated: a frozen dataclass's
-    own __init__ stores each field through object.__setattr__, which took
-    about 40% of building an op (3.8 us of which 1.6 us, on a 2-vCPU Xeon
-    VM with Python 3.11).
     """
 
     kind: GateKind
@@ -466,23 +461,12 @@ class GateOp:
     payload: str | None = None
     angle: float | None = None
 
-    def __init__(
-        self,
-        kind: GateKind,
-        targets: Iterable[int],
-        controls: Iterable[int] = (),
-        payload: str | None = None,
-        angle: float | None = None,
-    ) -> None:
-        fields = self.__dict__  # frozen: __setattr__ refuses every assignment
-        fields["kind"] = kind
-        fields["targets"] = _qubits(targets)
-        fields["controls"] = _qubits(controls)
-        fields["payload"] = payload
-        fields["angle"] = angle
-        fields["_valid_for"] = set()
-        fields["_pairs_for"] = {}
-        fields["_kernel_for"] = {}
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "targets", _qubits(self.targets))
+        object.__setattr__(self, "controls", _qubits(self.controls))
+        object.__setattr__(self, "_valid_for", set())
+        object.__setattr__(self, "_pairs_for", {})
+        object.__setattr__(self, "_kernel_for", {})
 
     # -- constructors ------------------------------------------------------
 
@@ -529,10 +513,15 @@ class GateOp:
         total = layout.total_qubits
         if total not in self._valid_for:
             self._check(total)
+            self._valid_for.add(total)
 
     def _check(self, total: int) -> None:
-        """Raise ValueError if the op is malformed on `total` qubits, else
-        remember that it passed."""
+        """Raise ValueError if the op is malformed on `total` qubits.
+
+        Every check that reads the payload or the angle is in
+        _check_parameter; the others read only kind, targets and controls,
+        which an op made by _derive shares with its template.
+        """
         touched = self.targets + self.controls
         if not self.targets:
             raise ValueError(f"{self.kind.value} op has no targets")
@@ -561,7 +550,6 @@ class GateOp:
         elif kind is not GateKind.ENCODE_MU:  # pragma: no cover - enum is closed
             raise ValueError(f"unknown gate kind {kind!r}")
         self._check_parameter()
-        self._valid_for.add(total)
 
     def _check_parameter(self) -> None:
         """The checks on the one field _derive replaces: an RY's angle, an
@@ -580,12 +568,13 @@ class GateOp:
                 )
 
     def _derive(self, parameter: str | float) -> "GateOp":
-        """This ENCODE_MU op with payload `parameter`, or this RY op with
-        angle float(parameter).
+        """A copy of this ENCODE_MU op with payload `parameter`, or of this
+        RY op with angle float(parameter), valid for every width this op
+        passed validate for.
 
-        Only _check_parameter reads that field, so the copy runs it alone and
-        then takes on every width this op has passed validation for; its
-        flip pairs and kernels are compiled afresh.
+        The copy differs from this op in that one field alone, so of _check
+        it reruns only _check_parameter, which raises _check's text for a
+        malformed parameter. Its flip pairs and kernels are compiled afresh.
         """
         op = _new_op()
         fields = op.__dict__
@@ -651,29 +640,20 @@ class Circuit:
     ops[op_index] has been applied. Construction validates each op not yet
     validated for the layout's width (GateOp.validate) and checks the
     checkpoint table; a table taken from another Circuit is not normalised
-    again. __init__ is written out for the reason GateOp gives.
+    again.
     """
 
     layout: RegisterLayout
     ops: tuple[GateOp, ...]
     checkpoints: tuple[tuple[int, str], ...] = ()
 
-    def __init__(
-        self,
-        layout: RegisterLayout,
-        ops: Iterable[GateOp],
-        checkpoints: Iterable[tuple[int, str]] = (),
-    ) -> None:
-        ops = tuple(ops)
-        table = _checkpoint_table(checkpoints)
-        fields = self.__dict__  # frozen: __setattr__ refuses every assignment
-        fields["layout"] = layout
-        fields["ops"] = ops
-        fields["checkpoints"] = table
-        total = layout.total_qubits
+    def __post_init__(self) -> None:
+        ops = tuple(self.ops)
+        table = _checkpoint_table(self.checkpoints)
+        object.__setattr__(self, "ops", ops)
+        object.__setattr__(self, "checkpoints", table)
         for op in ops:
-            if total not in op._valid_for:
-                op._check(total)
+            op.validate(self.layout)
         if table.repeats:
             raise ValueError(f"duplicate checkpoint labels in {[l for _, l in table]}")
         first, last = table.span

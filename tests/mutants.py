@@ -131,8 +131,8 @@ MUTANTS = (
     Mutant(
         "Circuit marks an op it has not seen as valid without checking it",
         "branchcomm/statevec.py",
-        "                op._check(total)\n",
-        "                op._valid_for.add(total)\n",
+        "            op.validate(self.layout)\n",
+        "            op._valid_for.add(self.layout.total_qubits)\n",
         (
             "tests/test_statevec.py::test_circuit_checks_each_op_not_yet_valid_for_its_width",
             "tests/test_protocol.py::test_circuits_over_shared_ops_still_validate_their_fresh_ops",
@@ -151,13 +151,6 @@ MUTANTS = (
         'form = "support" if self._support is not None else "amplitudes"',
         'form = "support" if self._support is None else "amplitudes"',
         ("tests/test_statevec.py::test_repr_names_the_held_form",),
-    ),
-    Mutant(
-        "run writes the document to stdout's buffer before earlier text",
-        "branchcomm/cli.py",
-        "    out.flush()\n    buffer.writelines(chunks)\n",
-        "    buffer.writelines(chunks)\n",
-        ("tests/test_cli.py::test_run_stdout_keeps_earlier_text_first_and_needs_no_buffer",),
     ),
     Mutant(
         "check_bits also accepts the digit 2",

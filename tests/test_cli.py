@@ -1,6 +1,4 @@
-import contextlib
 import errno
-import io
 import json
 import math
 import os
@@ -234,22 +232,6 @@ def test_run_stdout_is_written_without_the_whole_text(capsys, monkeypatch):
     code, out, err = run_cli(capsys, "run", "--message", "10110")
     assert code == 0 and "verdict: success" in err
     assert out == expected + "\n"
-
-
-def test_run_stdout_keeps_earlier_text_first_and_needs_no_buffer():
-    message = Message("101")
-    expected = json_dumps_document(run_protocol(ProtocolConfig(n=3), message), message)
-    stream = io.TextIOWrapper(io.BytesIO(), encoding="ascii")  # buffers its text
-    stream.write("earlier\n")
-    with contextlib.redirect_stdout(stream), contextlib.redirect_stderr(io.StringIO()):
-        assert main(["run", "--message", "101"]) == 0
-    stream.flush()
-    assert stream.buffer.getvalue() == f"earlier\n{expected}\n".encode("ascii")
-
-    text = io.StringIO()  # no .buffer: the chunks are written as text
-    with contextlib.redirect_stdout(text), contextlib.redirect_stderr(io.StringIO()):
-        assert main(["run", "--message", "101"]) == 0
-    assert text.getvalue() == expected + "\n"
 
 
 # Peak RSS of `run` at n = 8 to stdout. The document is 171,967,059 bytes
