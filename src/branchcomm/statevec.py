@@ -30,15 +30,18 @@ Patel, Markov & Hayes, quant-ph/0302002). So a support entry costs one
 shift per distance, not one test per pair.
 
 What repeats from run to run is validated and compiled once. An op depends
-on a layout only through its total qubit count, so each GateOp remembers per
-count that it passed validation (never a failure), its flip pairs and its
-support kernel, the fold among them. A Circuit checks only the ops not yet
-valid for its width; its checkpoint table is normalised once, with the
-labels to snapshot after each op, and a Circuit built over another's table
-reuses it, checking only its indices against its own op count.
-GateOp._derive copies a validated ENCODE_MU or RY op with a new payload or
-angle and reruns only the checks that read that field: the protocol builds
-its two per-run ops that way, from templates it validated once.
+on a layout only through its total qubit count, so each GateOp keeps one
+record per count, filled by GateOp._compile only once _check has passed:
+its flip pairs and its support kernel, the fold among them. validate,
+apply_gate and flip_pairs go through _compile. A Circuit compiles each op
+for its width, checking only the ops with no entry yet, so apply_circuit
+reads its kernels straight from the records. Its checkpoint table is
+normalised once, with the labels to snapshot after each op, and a Circuit
+built over another's table reuses it, checking only its indices against its
+own op count. GateOp._derive copies a validated ENCODE_MU or RY op with a
+new payload or angle, reruns only the checks that read that field and
+compiles the copy for its template's counts: the protocol builds its two
+per-run ops that way, from templates it validated once.
 protocol_layout is cached, since a RegisterLayout is immutable, and
 zero_state holds {0: 1+0j}, the all-zero index in every layout.
 
@@ -49,8 +52,9 @@ each pair with a listed entry, an unlisted partner read as 0j. The factors
 are complex, so numpy's array product and Python's scalar product are the
 same IEEE operations, and RY adds +0j so that no pair of zeros comes out
 -0.0; a support-held state and the same state held dense therefore evolve
-to the same bytes, signed zeros included. The route that shares no code
-with this module is the Kronecker-product oracle in tests/helpers.py.
+to the same bytes, signed zeros included. gate_matrix writes its H and RY
+columns through _mix as well. The route that shares no code with this
+module is the Kronecker-product oracle in tests/helpers.py.
 """
 
 from __future__ import annotations
@@ -61,7 +65,6 @@ import math
 import operator
 from dataclasses import dataclass
 from functools import cached_property, lru_cache, partial
-from itertools import repeat
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
@@ -435,11 +438,7 @@ def zero_state(layout: RegisterLayout) -> StateVector:
 
 def _qubits(qubits: Iterable[int]) -> tuple[int, ...]:
     """Qubit positions as ints; a non-integral one raises _integer's ValueError."""
-    qubits = tuple(qubits)
-    try:
-        return tuple(map(operator.index, qubits))
-    except TypeError:
-        return tuple(_integer(q, "qubit") for q in qubits)
+    return tuple(_integer(q, "qubit") for q in qubits)
 
 
 @dataclass(frozen=True)
@@ -450,9 +449,9 @@ class GateOp:
     Global qubit positions follow the layout convention (0 = most significant).
 
     An op depends on a layout only through its total qubit count, so it
-    remembers, per count, that it passed validate and what flip_pairs and
-    the support kernel compiled it to; a rejected op is not remembered and
-    raises every time. No memo takes part in ==, hash or repr.
+    keeps one compiled record per count (_compile), stored only once the
+    op has passed its checks for that count; a rejected op is not recorded
+    and raises every time. The record takes no part in ==, hash or repr.
     """
 
     kind: GateKind
@@ -464,9 +463,7 @@ class GateOp:
     def __post_init__(self) -> None:
         object.__setattr__(self, "targets", _qubits(self.targets))
         object.__setattr__(self, "controls", _qubits(self.controls))
-        object.__setattr__(self, "_valid_for", set())
-        object.__setattr__(self, "_pairs_for", {})
-        object.__setattr__(self, "_kernel_for", {})
+        object.__setattr__(self, "_compiled", {})
 
     # -- constructors ------------------------------------------------------
 
@@ -510,10 +507,19 @@ class GateOp:
         return self.targets + self.controls
 
     def validate(self, layout: RegisterLayout) -> None:
-        total = layout.total_qubits
-        if total not in self._valid_for:
+        self._compile(layout.total_qubits)
+
+    def _compile(self, total: int) -> _Compiled:
+        """This op's (flip pairs, support kernel) on `total` qubits.
+
+        Built on the first call for a count and stored only if _check
+        passes, so every later call for that count is one dict lookup.
+        """
+        entry = self._compiled.get(total)
+        if entry is None:
             self._check(total)
-            self._valid_for.add(total)
+            entry = self._compiled[total] = _compile_entry(self, total)
+        return entry
 
     def _check(self, total: int) -> None:
         """Raise ValueError if the op is malformed on `total` qubits.
@@ -574,7 +580,8 @@ class GateOp:
 
         The copy differs from this op in that one field alone, so of _check
         it reruns only _check_parameter, which raises _check's text for a
-        malformed parameter. Its flip pairs and kernels are compiled afresh.
+        malformed parameter. The copy is compiled afresh for each width in
+        this op's record.
         """
         op = _new_op()
         fields = op.__dict__
@@ -585,10 +592,8 @@ class GateOp:
             fields["payload"] = parameter
         else:
             raise ValueError(f"{self.kind.value} has no parameter to replace")
-        fields["_pairs_for"] = {}
-        fields["_kernel_for"] = {}
         op._check_parameter()
-        fields["_valid_for"] = set(self._valid_for)
+        fields["_compiled"] = {total: _compile_entry(op, total) for total in self._compiled}
         return op
 
     def inverse(self) -> "GateOp":
@@ -637,10 +642,10 @@ class Circuit:
     """Validated gate sequence with labeled checkpoints.
 
     A checkpoint (op_index, label) snapshots the state right after
-    ops[op_index] has been applied. Construction validates each op not yet
-    validated for the layout's width (GateOp.validate) and checks the
-    checkpoint table; a table taken from another Circuit is not normalised
-    again.
+    ops[op_index] has been applied. Construction compiles each op for the
+    layout's width (GateOp._compile, which checks only an op not yet
+    compiled for it) and checks the checkpoint table; a table taken from
+    another Circuit is not normalised again.
     """
 
     layout: RegisterLayout
@@ -652,8 +657,9 @@ class Circuit:
         table = _checkpoint_table(self.checkpoints)
         object.__setattr__(self, "ops", ops)
         object.__setattr__(self, "checkpoints", table)
+        total = self.layout.total_qubits
         for op in ops:
-            op.validate(self.layout)
+            op._compile(total)
         if table.repeats:
             raise ValueError(f"duplicate checkpoint labels in {[l for _, l in table]}")
         first, last = table.span
@@ -699,28 +705,13 @@ def _mask(total: int, qubits: Iterable[int]) -> int:
 def flip_pairs(op: GateOp, total: int) -> tuple[tuple[int, int], ...]:
     """(control mask, flip mask) pairs of a basis-permuting op, in order.
 
-    Compiled once per op and total qubit count.
+    Read from the op's compiled record, so an op that is not valid on
+    `total` qubits raises its check's ValueError.
     """
-    pairs = op._pairs_for.get(total)
+    pairs = op._compile(total)[0]
     if pairs is None:
-        pairs = op._pairs_for[total] = _compile_pairs(op, total)
+        raise ValueError(f"{op.kind.value} is not a basis permutation")
     return pairs
-
-
-def _compile_pairs(op: GateOp, total: int) -> tuple[tuple[int, int], ...]:
-    kind = op.kind
-    if kind is GateKind.TRANSVERSAL_CNOT:
-        return tuple(
-            (_mask(total, (c,)), _mask(total, (t,)))
-            for c, t in zip(op.controls, op.targets)
-        )
-    if kind is GateKind.ENCODE_MU:
-        flipped = [t for bit, t in zip(op.payload, op.targets) if bit == "1"]
-    elif kind in (GateKind.X, GateKind.MULTI_X, GateKind.CNOT):
-        flipped = op.targets
-    else:
-        raise ValueError(f"{kind.value} is not a basis permutation")
-    return ((_mask(total, op.controls), _mask(total, flipped)),)
 
 
 def _permute(
@@ -829,30 +820,35 @@ def _mix_support(
 
 
 _SupportKernel = Callable[[dict[int, complex]], dict[int, complex]]
+# One entry of GateOp's record: flip pairs (None for H and RY), support kernel.
+_Compiled = tuple[tuple[tuple[int, int], ...] | None, _SupportKernel]
 
 
-def _support_kernel(op: GateOp, total: int) -> _SupportKernel:
-    """The op on a support dict over `total` qubits, compiled once per op
-    and count and kept next to its flip pairs.
+def _compile_entry(op: GateOp, total: int) -> _Compiled:
+    """The flip pairs and support kernel of an op valid on `total` qubits.
 
-    A transversal CNOT runs from the _fold of its pairs; every other
-    permuting kind compiles to one pair, run by _flip_support; H and RY run
-    through _mix_support. A kernel holds only masks and coefficients, never
-    the op, so it makes no reference cycle.
+    A transversal CNOT compiles to one pair per qubit pair and runs from
+    their _fold; every other permuting kind compiles to one pair, run by
+    _flip_support; H and RY have no pairs and run through _mix_support. A
+    kernel holds only masks and coefficients, never the op, so it makes no
+    reference cycle.
     """
-    kernel = op._kernel_for.get(total)
-    if kernel is None:
-        kind = op.kind
-        if kind is GateKind.H or kind is GateKind.RY:
-            bit = 1 << (total - 1 - op.targets[0])
-            kernel = partial(_mix_support, _coefficients(op), bit)
-        elif kind is GateKind.TRANSVERSAL_CNOT:
-            kernel = partial(_shift_support, _fold(flip_pairs(op, total)))
-        else:
-            (pair,) = flip_pairs(op, total)
-            kernel = partial(_flip_support, *pair)
-        op._kernel_for[total] = kernel
-    return kernel
+    kind = op.kind
+    if kind is GateKind.H or kind is GateKind.RY:
+        bit = 1 << (total - 1 - op.targets[0])
+        return None, partial(_mix_support, _coefficients(op), bit)
+    if kind is GateKind.TRANSVERSAL_CNOT:
+        pairs = tuple(
+            (_mask(total, (c,)), _mask(total, (t,)))
+            for c, t in zip(op.controls, op.targets)
+        )
+        return pairs, partial(_shift_support, _fold(pairs))
+    if kind is GateKind.ENCODE_MU:
+        flipped = [t for bit, t in zip(op.payload, op.targets) if bit == "1"]
+    else:  # X, MULTI_X, CNOT
+        flipped = op.targets
+    pair = (_mask(total, op.controls), _mask(total, flipped))
+    return (pair,), partial(_flip_support, *pair)
 
 
 def _dense_kernel(op: GateOp, total: int, held: np.ndarray) -> np.ndarray:
@@ -877,10 +873,10 @@ def _held(state: StateVector) -> _Held:
 
 def apply_gate(state: StateVector, op: GateOp) -> StateVector:
     """Apply one gate; returns a new state, input untouched."""
-    op.validate(state.layout)
-    total, held = state.layout.total_qubits, _held(state)
+    total = state.layout.total_qubits
+    kernel, held = op._compile(total)[1], _held(state)
     if type(held) is dict:
-        return _state(state.layout, _support_kernel(op, total)(held))
+        return _state(state.layout, kernel(held))
     return _state(state.layout, _dense_kernel(op, total, held))
 
 
@@ -902,7 +898,8 @@ def apply_circuit(
     labels_at = circuit.checkpoints.labels_at
     total, held = layout.total_qubits, _held(state)
     if type(held) is dict:
-        kernels = map(_support_kernel, circuit.ops, repeat(total))
+        # The Circuit compiled each of its ops for its width when it was made.
+        kernels = (op._compiled[total][1] for op in circuit.ops)
     else:
         kernels = (partial(_dense_kernel, op, total) for op in circuit.ops)
     snapshots: dict[str, StateVector] = {}
@@ -945,9 +942,10 @@ def gate_matrix(op: GateOp, layout: RegisterLayout) -> np.ndarray:
     """Dense unitary of one gate on the full index space.
 
     Guarded at GATE_MATRIX_QUBIT_LIMIT qubits. Permutation kinds scatter the
-    source index the flip pairs give each output index, so they share their
-    definition with apply_gate; the Kronecker oracle in tests/helpers.py is
-    the independent check.
+    source index the flip pairs give each output index, and H and RY take
+    their columns from _mix on the target's two unit values, so column j
+    holds the bytes apply_gate gives on basis vector j; the Kronecker
+    oracle in tests/helpers.py is the independent check.
     """
     total = layout.total_qubits
     if total > GATE_MATRIX_QUBIT_LIMIT:
@@ -963,17 +961,9 @@ def gate_matrix(op: GateOp, layout: RegisterLayout) -> np.ndarray:
         idx = np.arange(dim)
         i0 = idx[(idx & mask) == 0]
         i1 = i0 + mask
-        if op.kind is GateKind.H:
-            matrix[i0, i0] = SQRT_HALF
-            matrix[i0, i1] = SQRT_HALF
-            matrix[i1, i0] = SQRT_HALF
-            matrix[i1, i1] = -SQRT_HALF
-        else:
-            c, s = math.cos(op.angle / 2.0), math.sin(op.angle / 2.0)
-            matrix[i0, i0] = c
-            matrix[i0, i1] = -s
-            matrix[i1, i0] = s
-            matrix[i1, i1] = c
+        coeffs = _coefficients(op)
+        for column, unit in ((i0, (1 + 0j, 0j)), (i1, (0j, 1 + 0j))):
+            matrix[i0, column], matrix[i1, column] = _mix(coeffs, *unit)
     else:
         src = _permute(np.arange(dim), flip_pairs(op, total), total)
         matrix[np.arange(dim), src] = 1.0

@@ -8,9 +8,12 @@ each entry the runner copies src/ to a temporary directory, applies the
 mutant there and runs only the named tests against the copy (PYTHONPATH and
 pytest's pythonpath both point at it); pytest must report failed tests
 (exit 1). The named tests first run once on an unmutated copy and must
-pass, so a test that fails for another reason cannot pass as a kill. An
-original text that no longer occurs exactly once fails the run: a refactor
-that moves the code must move the mutant with it.
+pass, so a test that fails for another reason cannot pass as a kill. A
+failure that ends in a NameError or AttributeError is not a kill either: the
+replacement named something that does not exist, so the tests never saw the
+behaviour it meant to break. An original text that no longer occurs
+exactly once fails the run: a refactor that moves the code must move the
+mutant with it.
 
 Exit status 0 when every mutant is killed, 1 otherwise.
 """
@@ -18,6 +21,7 @@ Exit status 0 when every mutant is killed, 1 otherwise.
 from __future__ import annotations
 
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -105,8 +109,8 @@ MUTANTS = (
     Mutant(
         "validation remembered regardless of width",
         "branchcomm/statevec.py",
-        "if total not in self._valid_for:",
-        "if not self._valid_for:",
+        "entry = self._compiled.get(total)",
+        "entry = next(iter(self._compiled.values()), None)",
         ("tests/test_statevec.py::test_gateop_remembers_only_passed_validation_per_width",),
     ),
     Mutant(
@@ -131,8 +135,8 @@ MUTANTS = (
     Mutant(
         "Circuit marks an op it has not seen as valid without checking it",
         "branchcomm/statevec.py",
-        "            op.validate(self.layout)\n",
-        "            op._valid_for.add(self.layout.total_qubits)\n",
+        "            op._compile(total)\n",
+        "            op._compiled[total] = _compile_entry(op, total)\n",
         (
             "tests/test_statevec.py::test_circuit_checks_each_op_not_yet_valid_for_its_width",
             "tests/test_protocol.py::test_circuits_over_shared_ops_still_validate_their_fresh_ops",
@@ -144,6 +148,16 @@ MUTANTS = (
         "        op._check_parameter()\n",
         "",
         ("tests/test_protocol.py::test_circuits_over_shared_ops_still_validate_their_fresh_ops",),
+    ),
+    Mutant(
+        "a derived op keeps its template's compiled record",
+        "branchcomm/statevec.py",
+        'fields["_compiled"] = {total: _compile_entry(op, total) for total in self._compiled}',
+        'fields["_compiled"] = dict(self._compiled)',
+        (
+            "tests/test_protocol.py::test_final_state_n1_two_branch_form",
+            "tests/test_protocol.py::test_run_against_dense_oracle_n3",
+        ),
     ),
     Mutant(
         "StateVector repr names the other held form",
@@ -200,7 +214,11 @@ MUTANTS = (
 )
 
 
-def _pytest(src: Path, tests: tuple[str, ...]) -> int:
+# pytest's traceback line for an exception raised by a name the mutant broke.
+BROKEN_NAME = re.compile(r"^E\s+(NameError|AttributeError)\b", re.MULTILINE)
+
+
+def _pytest(src: Path, tests: tuple[str, ...]) -> tuple[int, str]:
     env = dict(os.environ, PYTHONPATH=str(src), PYTHONDONTWRITEBYTECODE="1")
     command = [
         sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider",
@@ -209,9 +227,10 @@ def _pytest(src: Path, tests: tuple[str, ...]) -> int:
     done = subprocess.run(
         command, cwd=ROOT, env=env, stdout=subprocess.PIPE, stderr=subprocess.STDOUT
     )
+    output = done.stdout.decode(errors="replace")
     if done.returncode not in (0, 1):
-        sys.stdout.write(done.stdout.decode(errors="replace"))
-    return done.returncode
+        sys.stdout.write(output)
+    return done.returncode, output
 
 
 def main() -> int:
@@ -229,7 +248,7 @@ def main() -> int:
         if problems:
             return 1
         named = tuple(dict.fromkeys(t for mutant in MUTANTS for t in mutant.tests))
-        code = _pytest(src, named)
+        code, _ = _pytest(src, named)
         if code != 0:
             print(f"BAD  the named tests exit {code} on the unmutated source")
             return 1
@@ -238,12 +257,15 @@ def main() -> int:
             original = target.read_text()
             target.write_text(original.replace(mutant.original, mutant.replacement))
             try:
-                code = _pytest(src, mutant.tests)
+                code, output = _pytest(src, mutant.tests)
             finally:
                 target.write_text(original)
-            killed = code == 1
+            broken = BROKEN_NAME.search(output)
+            killed = code == 1 and not broken
             problems += not killed
-            print(f"{'ok  ' if killed else 'LIVE'} {mutant.name} (pytest exit {code})")
+            verdict = "ok  " if killed else "LIVE"
+            why = f", dies of a {broken[1]}" if broken else ""
+            print(f"{verdict} {mutant.name} (pytest exit {code}{why})")
     print(f"{len(MUTANTS)} mutants, {problems} problems, {time.perf_counter() - started:.1f} s")
     return 1 if problems else 0
 

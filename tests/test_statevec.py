@@ -253,6 +253,17 @@ def test_flip_pairs_compile_once_per_width_outside_equality():
         flip_pairs(GateOp.h(0), 4)
 
 
+def test_flip_pairs_of_an_op_not_valid_for_the_width_raise_its_check():
+    for op, total, text in (
+        (GateOp.x(5), 3, "qubit 5 out of range for 3-qubit layout"),
+        (GateOp.transversal_cnot((0, 7), (1, 9)), 4, "qubit 9 out of range for 4-qubit layout"),
+        (GateOp.x(-1), 3, "qubit -1 out of range for 3-qubit layout"),
+    ):
+        for _ in range(2):  # nothing is recorded for a rejected width
+            with pytest.raises(ValueError, match=re.escape(text)):
+                flip_pairs(op, total)
+
+
 # --- circuits -----------------------------------------------------------------
 
 
@@ -473,6 +484,24 @@ def test_gate_matrix_agrees_with_apply_path():
         assert np.allclose(
             via_matrix, apply_gate(state, op).amplitudes, atol=1e-12
         )
+
+
+def test_gate_matrix_columns_are_apply_gate_on_basis_vectors():
+    """Column j of gate_matrix holds the bytes apply_gate gives on dense
+    basis vector j, signed zeros included."""
+    for total in (1, 2, 3, 4):
+        layout = RegisterLayout((("q", total),))
+        for target in range(total):
+            ops = [GateOp.h(target)] + [
+                GateOp.ry(angle, target) for angle in (0.0, -0.0, math.pi, 2 * math.pi, -1.1)
+            ]
+            for op in ops:
+                matrix = gate_matrix(op, layout)
+                for j in range(layout.dim):
+                    basis = np.zeros(layout.dim, dtype=np.complex128)
+                    basis[j] = 1.0
+                    column = apply_gate(StateVector(layout, basis), op).amplitudes
+                    assert matrix[:, j].tobytes() == column.tobytes(), (op, total, j)
 
 
 def test_oracle_equivalence_on_random_circuits():
