@@ -20,22 +20,24 @@ Five gate kinds (X, MULTI_X, CNOT, ENCODE_MU, TRANSVERSAL_CNOT) only permute
 basis states. Each compiles to an ordered list of (control mask C, flip
 mask F) pairs, applied in turn; a pair flips the bits of F in every basis
 index whose C bits are all set, with bit masks taken over the global index.
-These pairs are the single description of those kinds: both forms' kernels,
-gate_matrix and the QASM emitter all read them. The support-held kernel of a
-TRANSVERSAL_CNOT is folded from its pairs (_fold): the pairs touch pairwise
-distinct qubits, so they commute, and together they map an index i to
-i ^ spread(i & C), where spread shifts each control bit onto its target,
-one shift per control-to-target distance (the linear reversible view of
-Patel, Markov & Hayes, quant-ph/0302002). So a support entry costs one
-shift per distance, not one test per pair.
+These pairs are the single description of those kinds: the compiled record
+holds both forms' kernels, built from them, and the QASM emitter reads them.
+The support-held kernel of a TRANSVERSAL_CNOT is folded from its pairs
+(_fold): the pairs touch pairwise distinct qubits, so they commute, and
+together they map an index i to i ^ spread(i & C), where spread shifts each
+control bit onto its target, one shift per control-to-target distance (the
+linear reversible view of Patel, Markov & Hayes, quant-ph/0302002). So a
+support entry costs one shift per distance, not one test per pair.
 
 What repeats from run to run is validated and compiled once. An op depends
 on a layout only through its total qubit count, so each GateOp keeps one
 record per count, filled by GateOp._compile only once _check has passed:
-its flip pairs and its support kernel, the fold among them. validate,
-apply_gate and flip_pairs go through _compile. A Circuit compiles each op
-for its width, checking only the ops with no entry yet, so apply_circuit
-reads its kernels straight from the records. Its checkpoint table is
+its flip pairs, its support kernel (the fold among them) and its dense
+kernel, all built by _compile_entry, the one place where a gate kind becomes
+code. validate, apply_gate, flip_pairs and gate_matrix go through _compile,
+and apply_gate takes the kernel for the state's held form. A Circuit
+compiles each op for its width, checking only the ops with no entry yet, so
+apply_circuit reads its kernels from the records. Its checkpoint table is
 normalised once, with the labels to snapshot after each op, and a Circuit
 built over another's table reuses it, checking only its indices against its
 own op count. GateOp._derive copies a validated ENCODE_MU or RY op with a
@@ -52,8 +54,9 @@ each pair with a listed entry, an unlisted partner read as 0j. The factors
 are complex, so numpy's array product and Python's scalar product are the
 same IEEE operations, and RY adds +0j so that no pair of zeros comes out
 -0.0; a support-held state and the same state held dense therefore evolve
-to the same bytes, signed zeros included. gate_matrix writes its H and RY
-columns through _mix as well. The route that shares no code with this
+to the same bytes, signed zeros included. gate_matrix fills column j with
+the support kernel run on {j: 1+0j}, so its columns are apply_gate's bytes
+for every kind by construction. The route that shares no code with this
 module is the Kronecker-product oracle in tests/helpers.py.
 """
 
@@ -62,6 +65,7 @@ from __future__ import annotations
 import cmath
 import enum
 import math
+import numbers
 import operator
 from dataclasses import dataclass
 from functools import cached_property, lru_cache, partial
@@ -225,10 +229,6 @@ def protocol_layout(n: int, friend_width: int = 1) -> RegisterLayout:
     return RegisterLayout(
         (("Q", 1), ("R", 1), ("F", friend_width), ("M", n), ("P", n))
     )
-
-
-# A state's data in either form: a read-only amplitude array or a support dict.
-_Held = np.ndarray | dict[int, complex]
 
 
 def l2_norm(amplitudes: Iterable[complex] | np.ndarray) -> float:
@@ -412,7 +412,7 @@ class StateVector:
 _new_state = partial(object.__new__, StateVector)
 
 
-def _state(layout: RegisterLayout, held: _Held) -> StateVector:
+def _state(layout: RegisterLayout, held: np.ndarray | dict[int, complex]) -> StateVector:
     """Wrap a kernel's output, an amplitude array or a support dict, in a
     StateVector without checking or scanning it again."""
     state = _new_state()
@@ -434,6 +434,11 @@ def make_basis_state(layout: RegisterLayout, assignment: Mapping[str, str]) -> S
 def zero_state(layout: RegisterLayout) -> StateVector:
     """All-registers-zero basis state: index 0 in every layout."""
     return _state(layout, {0: 1 + 0j})
+
+
+def _real(value: object) -> bool:
+    """True for a float or another real number, numpy's included."""
+    return type(value) is float or isinstance(value, numbers.Real)
 
 
 def _qubits(qubits: Iterable[int]) -> tuple[int, ...]:
@@ -477,7 +482,7 @@ class GateOp:
 
     @classmethod
     def ry(cls, angle: float, target: int) -> "GateOp":
-        return cls(GateKind.RY, (target,), angle=float(angle))
+        return cls(GateKind.RY, (target,), angle=float(angle) if _real(angle) else angle)
 
     @classmethod
     def cnot(cls, control: int, target: int) -> "GateOp":
@@ -561,8 +566,9 @@ class GateOp:
         """The checks on the one field _derive replaces: an RY's angle, an
         ENCODE_MU's payload (against its target count)."""
         if self.kind is GateKind.RY:
-            if self.angle is None:
-                raise ValueError("RY requires an angle")
+            angle = self.angle
+            if not (_real(angle) and math.isfinite(angle)):
+                raise ValueError(f"RY angle must be a finite real, got {angle!r}")
         elif self.kind is GateKind.ENCODE_MU:
             if self.payload is None:
                 raise ValueError("ENCODE_MU requires a payload bit-string")
@@ -575,8 +581,8 @@ class GateOp:
 
     def _derive(self, parameter: str | float) -> "GateOp":
         """A copy of this ENCODE_MU op with payload `parameter`, or of this
-        RY op with angle float(parameter), valid for every width this op
-        passed validate for.
+        RY op with angle `parameter`, valid for every width this op passed
+        validate for.
 
         The copy differs from this op in that one field alone, so of _check
         it reruns only _check_parameter, which raises _check's text for a
@@ -587,7 +593,7 @@ class GateOp:
         fields = op.__dict__
         fields.update(self.__dict__)
         if self.kind is GateKind.RY:
-            fields["angle"] = float(parameter)
+            fields["angle"] = parameter
         elif self.kind is GateKind.ENCODE_MU:
             fields["payload"] = parameter
         else:
@@ -715,16 +721,18 @@ def flip_pairs(op: GateOp, total: int) -> tuple[tuple[int, int], ...]:
 
 
 def _permute(
-    amps: np.ndarray, pairs: tuple[tuple[int, int], ...], total: int
+    pairs: tuple[tuple[int, int], ...], total: int, amps: np.ndarray
 ) -> np.ndarray:
-    """out[i] = amps[source(i)] for the permutation the pairs describe."""
+    """out[i] = amps[source(i)] for the pairs' permutation, read-only."""
     out = amps.reshape((2,) * total).copy()
     bits = [1 << (total - 1 - q) for q in range(total)]
     for cmask, fmask in pairs:
         # Length-1 slices keep every axis, so axis q stays qubit q.
         view = out[tuple(slice(1, 2) if cmask & b else slice(None) for b in bits)]
         view[...] = np.flip(view, tuple(q for q, b in enumerate(bits) if fmask & b))
-    return out.reshape(-1)
+    out = out.reshape(-1)
+    out.setflags(write=False)
+    return out
 
 
 def _flip_support(cmask: int, fmask: int, support: dict[int, complex]) -> dict[int, complex]:
@@ -819,65 +827,63 @@ def _mix_support(
     return out
 
 
+def _mix_dense(coeffs: _Coefficients, t: int, total: int, held: np.ndarray) -> np.ndarray:
+    """H or RY on qubit t of a read-only amplitude array, every (i, i|t) pair
+    at once through _mix; the output is read-only."""
+    a = held.reshape(1 << t, 2, 1 << (total - 1 - t))
+    out = np.empty_like(a)
+    mixed = _mix(coeffs, a[:, 0, :], a[:, 1, :])
+    out[:, 0, :] = next(mixed)
+    out[:, 1, :] = next(mixed)
+    out = out.reshape(-1)
+    out.setflags(write=False)
+    return out
+
+
 _SupportKernel = Callable[[dict[int, complex]], dict[int, complex]]
-# One entry of GateOp's record: flip pairs (None for H and RY), support kernel.
-_Compiled = tuple[tuple[tuple[int, int], ...] | None, _SupportKernel]
+_DenseKernel = Callable[[np.ndarray], np.ndarray]
+# One entry of GateOp's record: flip pairs (None for H and RY), support
+# kernel, dense kernel.
+_Compiled = tuple[tuple[tuple[int, int], ...] | None, _SupportKernel, _DenseKernel]
 
 
 def _compile_entry(op: GateOp, total: int) -> _Compiled:
-    """The flip pairs and support kernel of an op valid on `total` qubits.
+    """The flip pairs, support kernel and dense kernel of an op valid on
+    `total` qubits: the one place where a gate kind becomes code.
 
-    A transversal CNOT compiles to one pair per qubit pair and runs from
-    their _fold; every other permuting kind compiles to one pair, run by
-    _flip_support; H and RY have no pairs and run through _mix_support. A
-    kernel holds only masks and coefficients, never the op, so it makes no
-    reference cycle.
+    A transversal CNOT compiles to one pair per qubit pair and runs on a
+    support from their _fold; every other permuting kind compiles to one
+    pair, run on a support by _flip_support. The dense kernel of every
+    permuting kind is _permute over its pairs. H and RY have no pairs and
+    run through _mix_support and _mix_dense. A kernel holds only masks and
+    coefficients, never the op, so it makes no reference cycle.
     """
     kind = op.kind
     if kind is GateKind.H or kind is GateKind.RY:
-        bit = 1 << (total - 1 - op.targets[0])
-        return None, partial(_mix_support, _coefficients(op), bit)
+        t, coeffs = op.targets[0], _coefficients(op)
+        support = partial(_mix_support, coeffs, 1 << (total - 1 - t))
+        return None, support, partial(_mix_dense, coeffs, t, total)
     if kind is GateKind.TRANSVERSAL_CNOT:
         pairs = tuple(
             (_mask(total, (c,)), _mask(total, (t,)))
             for c, t in zip(op.controls, op.targets)
         )
-        return pairs, partial(_shift_support, _fold(pairs))
-    if kind is GateKind.ENCODE_MU:
-        flipped = [t for bit, t in zip(op.payload, op.targets) if bit == "1"]
-    else:  # X, MULTI_X, CNOT
-        flipped = op.targets
-    pair = (_mask(total, op.controls), _mask(total, flipped))
-    return (pair,), partial(_flip_support, *pair)
-
-
-def _dense_kernel(op: GateOp, total: int, held: np.ndarray) -> np.ndarray:
-    """One gate on a read-only amplitude array; the output is read-only."""
-    if op.kind is GateKind.H or op.kind is GateKind.RY:
-        t = op.targets[0]
-        a = held.reshape(1 << t, 2, 1 << (total - 1 - t))
-        out = np.empty_like(a)
-        mixed = _mix(_coefficients(op), a[:, 0, :], a[:, 1, :])
-        out[:, 0, :] = next(mixed)
-        out[:, 1, :] = next(mixed)
-        out = out.reshape(-1)
+        support = partial(_shift_support, _fold(pairs))
     else:
-        out = _permute(held, flip_pairs(op, total), total)
-    out.setflags(write=False)
-    return out
-
-
-def _held(state: StateVector) -> _Held:
-    return state._support if state._support is not None else state.amplitudes
+        flipped = op.targets  # X, MULTI_X, CNOT
+        if kind is GateKind.ENCODE_MU:
+            flipped = [t for bit, t in zip(op.payload, op.targets) if bit == "1"]
+        pairs = ((_mask(total, op.controls), _mask(total, flipped)),)
+        support = partial(_flip_support, *pairs[0])
+    return pairs, support, partial(_permute, pairs, total)
 
 
 def apply_gate(state: StateVector, op: GateOp) -> StateVector:
     """Apply one gate; returns a new state, input untouched."""
-    total = state.layout.total_qubits
-    kernel, held = op._compile(total)[1], _held(state)
-    if type(held) is dict:
-        return _state(state.layout, kernel(held))
-    return _state(state.layout, _dense_kernel(op, total, held))
+    entry = op._compile(state.layout.total_qubits)
+    if state._support is not None:
+        return _state(state.layout, entry[1](state._support))
+    return _state(state.layout, entry[2](state._dense))
 
 
 def apply_circuit(
@@ -896,12 +902,11 @@ def apply_circuit(
     if not circuit.ops:
         return state, {}
     labels_at = circuit.checkpoints.labels_at
-    total, held = layout.total_qubits, _held(state)
-    if type(held) is dict:
-        # The Circuit compiled each of its ops for its width when it was made.
-        kernels = (op._compiled[total][1] for op in circuit.ops)
-    else:
-        kernels = (partial(_dense_kernel, op, total) for op in circuit.ops)
+    total, held, form = layout.total_qubits, state._support, 1
+    if held is None:
+        held, form = state._dense, 2
+    # The Circuit compiled each of its ops for its width when it was made.
+    kernels = (op._compiled[total][form] for op in circuit.ops)
     snapshots: dict[str, StateVector] = {}
     for i, kernel in enumerate(kernels):
         held = kernel(held)
@@ -939,13 +944,13 @@ def _common_nonzero(
 
 
 def gate_matrix(op: GateOp, layout: RegisterLayout) -> np.ndarray:
-    """Dense unitary of one gate on the full index space.
+    """Dense unitary of one gate on the full index space, guarded at
+    GATE_MATRIX_QUBIT_LIMIT qubits.
 
-    Guarded at GATE_MATRIX_QUBIT_LIMIT qubits. Permutation kinds scatter the
-    source index the flip pairs give each output index, and H and RY take
-    their columns from _mix on the target's two unit values, so column j
-    holds the bytes apply_gate gives on basis vector j; the Kronecker
-    oracle in tests/helpers.py is the independent check.
+    Column j is the op's compiled support kernel run on basis vector j,
+    {j: 1+0j}, so it holds the bytes apply_gate gives there by
+    construction; the Kronecker oracle in tests/helpers.py is the
+    independent check.
     """
     total = layout.total_qubits
     if total > GATE_MATRIX_QUBIT_LIMIT:
@@ -953,18 +958,10 @@ def gate_matrix(op: GateOp, layout: RegisterLayout) -> np.ndarray:
             f"gate_matrix is dense and limited to {GATE_MATRIX_QUBIT_LIMIT} "
             f"qubits; layout has {total}"
         )
-    op.validate(layout)
+    kernel = op._compile(total)[1]
     dim = 1 << total
     matrix = np.zeros((dim, dim), dtype=np.complex128)
-    if op.kind in (GateKind.H, GateKind.RY):
-        mask = _mask(total, op.targets)
-        idx = np.arange(dim)
-        i0 = idx[(idx & mask) == 0]
-        i1 = i0 + mask
-        coeffs = _coefficients(op)
-        for column, unit in ((i0, (1 + 0j, 0j)), (i1, (0j, 1 + 0j))):
-            matrix[i0, column], matrix[i1, column] = _mix(coeffs, *unit)
-    else:
-        src = _permute(np.arange(dim), flip_pairs(op, total), total)
-        matrix[np.arange(dim), src] = 1.0
+    for j in range(dim):
+        for i, amp in kernel({j: 1 + 0j}).items():
+            matrix[i, j] = amp
     return matrix

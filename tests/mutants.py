@@ -160,6 +160,26 @@ MUTANTS = (
         ),
     ),
     Mutant(
+        "gate_matrix writes each column as a row",
+        "branchcomm/statevec.py",
+        "matrix[i, j] = amp",
+        "matrix[j, i] = amp",
+        (
+            "tests/test_statevec.py::test_gate_matrix_columns_are_apply_gate_on_basis_vectors",
+            "tests/test_statevec.py::test_gate_matrix_matches_oracle_matrix[op1]",
+        ),
+    ),
+    Mutant(
+        "an RY angle need only be real, not finite",
+        "branchcomm/statevec.py",
+        "if not (_real(angle) and math.isfinite(angle)):",
+        "if not _real(angle):",
+        (
+            "tests/test_statevec.py::test_ry_angle_that_is_not_a_finite_real_is_refused[nan]",
+            "tests/test_statevec.py::test_ry_angle_that_is_not_a_finite_real_is_refused[inf]",
+        ),
+    ),
+    Mutant(
         "StateVector repr names the other held form",
         "branchcomm/statevec.py",
         'form = "support" if self._support is not None else "amplitudes"',

@@ -220,6 +220,27 @@ def test_gateop_rejects_non_integral_qubits():
     assert all(type(q) is int for q in op.qubits)
 
 
+@pytest.mark.parametrize("angle", [math.nan, math.inf, -math.inf, "x", 1j])
+def test_ry_angle_that_is_not_a_finite_real_is_refused(angle):
+    """Refused with a text naming the angle, on every route to a kernel."""
+    text = re.escape(f"RY angle must be a finite real, got {angle!r}")
+    dense = StateVector(QRF, zero_state(QRF).amplitudes)
+    for op in (GateOp.ry(angle, 0), GateOp(GateKind.RY, (0,), angle=angle)):
+        for use in (
+            op.validate,
+            lambda layout: Circuit(layout, (op,)),
+            lambda layout: apply_gate(zero_state(layout), op),
+            lambda layout: apply_gate(dense, op),
+            lambda layout: gate_matrix(op, layout),
+        ):
+            with pytest.raises(ValueError, match=text):
+                use(QRF)
+    template = GateOp.ry(0.5, 0)
+    template.validate(QRF)
+    with pytest.raises(ValueError, match=text):
+        template._derive(angle)
+
+
 def test_gateop_remembers_only_passed_validation_per_width():
     wide = protocol_layout(8)  # 19 qubits
     op = GateOp.x(10)
@@ -488,20 +509,44 @@ def test_gate_matrix_agrees_with_apply_path():
 
 def test_gate_matrix_columns_are_apply_gate_on_basis_vectors():
     """Column j of gate_matrix holds the bytes apply_gate gives on dense
-    basis vector j, signed zeros included."""
+    basis vector j, signed zeros included, for every kind; the matrix is a
+    writable complex128 array."""
+    more = {
+        2: [GateOp.transversal_cnot((0,), (1,)), GateOp.transversal_cnot((1,), (0,))],
+        3: [
+            GateOp(GateKind.ENCODE_MU, (2,), (0, 1), payload="1"),
+            GateOp.encode("01", (0, 2), control=1),
+        ],
+        4: [
+            GateOp(GateKind.ENCODE_MU, (2, 3), (0, 1), payload="10"),
+            # control-to-target distances of mixed sign
+            GateOp.transversal_cnot((0, 3), (2, 1)),
+            GateOp.transversal_cnot((1, 2), (0, 3)),
+            GateOp.transversal_cnot((0, 1), (3, 2)),
+        ],
+    }
     for total in (1, 2, 3, 4):
         layout = RegisterLayout((("q", total),))
+        ops = [
+            GateOp.multi_x(range(total)),
+            GateOp.encode("0" * total, range(total)),  # blank payload
+            GateOp.encode("1" + "0" * (total - 1), range(total)),
+            *more.get(total, ()),
+        ]
         for target in range(total):
-            ops = [GateOp.h(target)] + [
+            ops += [GateOp.x(target), GateOp.h(target)]
+            ops += [
                 GateOp.ry(angle, target) for angle in (0.0, -0.0, math.pi, 2 * math.pi, -1.1)
             ]
-            for op in ops:
-                matrix = gate_matrix(op, layout)
-                for j in range(layout.dim):
-                    basis = np.zeros(layout.dim, dtype=np.complex128)
-                    basis[j] = 1.0
-                    column = apply_gate(StateVector(layout, basis), op).amplitudes
-                    assert matrix[:, j].tobytes() == column.tobytes(), (op, total, j)
+            ops += [GateOp.cnot(control, target) for control in range(total) if control != target]
+        for op in ops:
+            matrix = gate_matrix(op, layout)
+            assert matrix.dtype == np.complex128 and matrix.flags.writeable
+            for j in range(layout.dim):
+                basis = np.zeros(layout.dim, dtype=np.complex128)
+                basis[j] = 1.0
+                column = apply_gate(StateVector(layout, basis), op).amplitudes
+                assert matrix[:, j].tobytes() == column.tobytes(), (op, total, j)
 
 
 def test_oracle_equivalence_on_random_circuits():
