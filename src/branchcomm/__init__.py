@@ -4,7 +4,6 @@ transfer between measurement branches under global observer control."""
 from .branches import (
     Branch,
     TransferVerdict,
-    branches_to_json,
     decompose_by_register,
     evaluate_transfer,
     register_component_magnitude,
@@ -70,7 +69,6 @@ __all__ = [
     "apply_circuit",
     "apply_gate",
     "apply_swap_plan",
-    "branches_to_json",
     "build_protocol_circuit",
     "checkpoint_reference_state",
     "construct_G",

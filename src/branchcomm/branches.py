@@ -29,10 +29,9 @@ class Branch:
     `amplitude` is the component's coefficient when it is a single basis
     vector, and its L2 weight otherwise. `local_state` maps every register
     to its bit-string and is present only for single-basis-vector
-    components. `indices` and `values` hold the component's nonzero
-    amplitudes in ascending index order (lists from a support-held state,
-    arrays from a dense-held one); `component` is the same projection as a
-    full-length dense array (unnormalized, read-only), built on first
+    components. `indices` and `values` list the component's nonzero
+    amplitudes in ascending index order; `component` is the same projection
+    as a full-length dense array (unnormalized, read-only), built on first
     access, so decompositions can be re-summed and re-projected.
     """
 
@@ -48,46 +47,25 @@ class Branch:
         return dense_amplitudes(self.layout, self.indices, self.values)
 
 
-def _register_blocks(state: StateVector, register: str) -> np.ndarray:
-    """A dense-held state's array viewed as (higher bits, register value,
-    lower bits), so [:, value, :] is the component where the register reads
-    `value`, in ascending index order."""
-    shift, mask = state.layout.field(register)
-    return state.amplitudes.reshape(-1, mask + 1, 1 << shift)
-
-
 def _groups(
     state: StateVector, register: str
-) -> list[tuple[Sequence[int], Sequence[complex], Sequence[int]]]:
+) -> list[tuple[list[int], list[complex], list[int]]]:
     """(indices, amplitudes, live) per register value that holds a nonzero
     entry, values ascending.
 
     `indices` and `amplitudes` list the group's nonzero entries in ascending
     index order; `live` gives the positions in them of the amplitudes above
-    ZERO_TOL. A support-held state is grouped entry by entry; a dense-held
-    state is split by _register_blocks, with no per-entry Python loop.
+    ZERO_TOL.
     """
     shift, mask = state.layout.field(register)
-    if not state.dense_held:
-        groups: dict[int, tuple[list[int], list[complex], list[int]]] = {}
-        for index, amp in state.nonzero_items():
-            indices, amps, live = groups.setdefault((index >> shift) & mask, ([], [], []))
-            if abs(amp) > ZERO_TOL:
-                live.append(len(amps))
-            indices.append(index)
-            amps.append(amp)
-        return [groups[value] for value in sorted(groups)]
-    blocks = _register_blocks(state, register)
-    high = shift + mask.bit_length()
-    low_mask = (1 << shift) - 1
-    out = []
-    for value in np.flatnonzero(blocks.any(axis=(0, 2))).tolist():
-        block = blocks[:, value, :].reshape(-1)
-        pos = np.flatnonzero(block)
-        indices = ((pos >> shift) << high) | (value << shift) | (pos & low_mask)
-        amps = block[pos]
-        out.append((indices, amps, np.flatnonzero(np.abs(amps) > ZERO_TOL)))
-    return out
+    groups: dict[int, tuple[list[int], list[complex], list[int]]] = {}
+    for index, amp in state.nonzero_items():
+        indices, amps, live = groups.setdefault((index >> shift) & mask, ([], [], []))
+        if abs(amp) > ZERO_TOL:
+            live.append(len(amps))
+        indices.append(index)
+        amps.append(amp)
+    return [groups[value] for value in sorted(groups)]
 
 
 def decompose_by_register(state: StateVector, register: str) -> list[Branch]:
@@ -99,16 +77,16 @@ def decompose_by_register(state: StateVector, register: str) -> list[Branch]:
     layout = state.layout
     branches: list[Branch] = []
     for indices, amps, live in _groups(state, register):
-        if not len(live):
+        if not live:
             continue
         if len(live) == 1:
-            amplitude = complex(amps[live[0]])
-            local_state = layout.assignment_of(int(indices[live[0]]))
+            amplitude = amps[live[0]]
+            local_state = layout.assignment_of(indices[live[0]])
             label = local_state[register]
         else:
             amplitude = complex(l2_norm(amps))
             local_state = None
-            label = layout.value_of(int(indices[0]), register)
+            label = layout.value_of(indices[0], register)
         branches.append(Branch(label, amplitude, local_state, layout, indices, amps))
     return branches
 
@@ -116,26 +94,10 @@ def decompose_by_register(state: StateVector, register: str) -> list[Branch]:
 def register_component_magnitude(state: StateVector, register: str, bits: str) -> float:
     """L2 weight of the component where `register` reads exactly `bits`."""
     value = state.layout.value_for(register, bits)
-    if state.dense_held:
-        # The zeros in the block add +0.0 to each running sum, which leaves
-        # it unchanged, so this equals the sum over the nonzero entries.
-        return l2_norm(_register_blocks(state, register)[:, value, :].reshape(-1))
     shift, mask = state.layout.field(register)
     return l2_norm(
         amp for index, amp in state.nonzero_items() if (index >> shift) & mask == value
     )
-
-
-def branches_to_json(branches: list[Branch]) -> list[dict]:
-    """JSON-ready branch list: label, [re, im] amplitude, register values."""
-    return [
-        {
-            "label": b.label,
-            "amplitude": [b.amplitude.real, b.amplitude.imag],
-            "registers": dict(b.local_state) if b.local_state is not None else None,
-        }
-        for b in branches
-    ]
 
 
 @dataclass(frozen=True)

@@ -22,7 +22,12 @@ import stat
 import sys
 from collections.abc import Iterable, Iterator
 
-from .branches import decompose_by_register, verify_transfer
+from .branches import (
+    ZERO_TOL,
+    decompose_by_register,
+    register_component_magnitude,
+    verify_transfer,
+)
 from .protocol import (
     Message,
     ProtocolConfig,
@@ -140,7 +145,7 @@ def _pairs_json(state: StateVector, indent: str) -> Iterator[bytes | memoryview]
     The chunks are the items of _item_chunks with the first item's leading
     comma dropped. Zero entries are slices of one cached block per indent,
     so the memory the chunks hold does not grow with the width of the state,
-    and a support-held state is never made dense.
+    and no dense array of the state is built.
     """
     chunks = _item_chunks(state, indent)
     yield b"["
@@ -257,6 +262,16 @@ def cmd_run(args: argparse.Namespace) -> int:
         check_dense_limit(run.final.layout)
     except ValueError as exc:  # too wide to write out densely
         raise _UsageError(str(exc)) from None
+    if config.apply_branch_swap:
+        # A prepared amplitude at or under ZERO_TOL leaves one branch to
+        # swap: bad input, not a failed transfer. The prepared value is read,
+        # since RY can round an input just above ZERO_TOL onto it.
+        for bit, flag in (("0", "--amp0"), ("1", "--amp1")):
+            if register_component_magnitude(run.checkpoints["eq1"], "Q", bit) <= ZERO_TOL:
+                raise _UsageError(
+                    f"{flag} prepares an amplitude at or under {ZERO_TOL!r}, "
+                    "which leaves a single branch to transfer between"
+                )
     if args.output is None:
         _write_stdout(_document_chunks(run, message))
     else:

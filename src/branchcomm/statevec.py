@@ -7,35 +7,34 @@ to right exactly like the ket it denotes: for registers Q(1), R(1), F(1),
 the assignment {Q: "1", R: "1", F: "1"} is global index 0b111 = 7.
 
 States are immutable value objects; every operation returns a new state and
-never touches its input. A state is held in one of two forms, chosen by how
-it was made. make_basis_state, zero_state and the protocol's closed-form
-reference states hold their support: a dict from basis index to amplitude,
-which apply_gate and apply_circuit evolve in that form, so a circuit started
-from a basis state costs time and memory in its support size, not in 2^n.
-An amplitude array given by the caller is held dense and evolved by the
-array kernels. A support-held state builds its dense array on first access
-to `.amplitudes`, up to STATE_QUBIT_LIMIT qubits.
+never touches its input. Every state holds its support: a dict from basis
+index to amplitude, which apply_gate and apply_circuit evolve, so a circuit
+started from a basis state costs time and memory in its support size, not
+in 2^n. make_basis_state, zero_state and the protocol's closed-form
+reference states list their support directly; an amplitude array given by
+the caller lists every entry whose float64 bit pattern is nonzero and is
+kept as the state's `.amplitudes`. Any other state builds that array on
+first access, up to STATE_QUBIT_LIMIT qubits.
 
 Five gate kinds (X, MULTI_X, CNOT, ENCODE_MU, TRANSVERSAL_CNOT) only permute
 basis states. Each compiles to an ordered list of (control mask C, flip
 mask F) pairs, applied in turn; a pair flips the bits of F in every basis
 index whose C bits are all set, with bit masks taken over the global index.
 These pairs are the single description of those kinds: the compiled record
-holds both forms' kernels, built from them, and the QASM emitter reads them.
-The support-held kernel of a TRANSVERSAL_CNOT is folded from its pairs
-(_fold): the pairs touch pairwise distinct qubits, so they commute, and
-together they map an index i to i ^ spread(i & C), where spread shifts each
-control bit onto its target, one shift per control-to-target distance (the
-linear reversible view of Patel, Markov & Hayes, quant-ph/0302002). So a
-support entry costs one shift per distance, not one test per pair.
+holds the kernel built from them, and the QASM emitter reads them. The
+kernel of a TRANSVERSAL_CNOT is folded from its pairs (_fold): the pairs
+touch pairwise distinct qubits, so they commute, and together they map an
+index i to i ^ spread(i & C), where spread shifts each control bit onto its
+target, one shift per control-to-target distance (the linear reversible
+view of Patel, Markov & Hayes, quant-ph/0302002). So a support entry costs
+one shift per distance, not one test per pair.
 
 What repeats from run to run is validated and compiled once. An op depends
 on a layout only through its total qubit count, so each GateOp keeps one
 record per count, filled by GateOp._compile only once _check has passed:
-its flip pairs, its support kernel (the fold among them) and its dense
-kernel, all built by _compile_entry, the one place where a gate kind becomes
-code. validate, apply_gate, flip_pairs and gate_matrix go through _compile,
-and apply_gate takes the kernel for the state's held form. A Circuit
+its flip pairs and its kernel (the fold among them), both built by
+_compile_entry, the one place where a gate kind becomes code. validate,
+apply_gate, flip_pairs and gate_matrix go through _compile. A Circuit
 compiles each op for its width, checking only the ops with no entry yet, so
 apply_circuit reads its kernels from the records. Its checkpoint table is
 normalised once, with the labels to snapshot after each op, and a Circuit
@@ -47,17 +46,12 @@ per-run ops that way, from templates it validated once.
 protocol_layout is cached, since a RegisterLayout is immutable, and
 zero_state holds {0: 1+0j}, the all-zero index in every layout.
 
-H and RY mix the two values of one qubit. Both forms compute each (i, i|t)
-pair with the expressions written once in _mix: the dense kernel on numpy
-arrays of all pairs, the support-held kernel on Python complex scalars for
-each pair with a listed entry, an unlisted partner read as 0j. The factors
-are complex, so numpy's array product and Python's scalar product are the
-same IEEE operations, and RY adds +0j so that no pair of zeros comes out
--0.0; a support-held state and the same state held dense therefore evolve
-to the same bytes, signed zeros included. gate_matrix fills column j with
-the support kernel run on {j: 1+0j}, so its columns are apply_gate's bytes
-for every kind by construction. The route that shares no code with this
-module is the Kronecker-product oracle in tests/helpers.py.
+H and RY mix the two values of one qubit: each (i, i|t) pair with a listed
+entry goes through _mix on Python complex scalars, an unlisted partner read
+as 0j. gate_matrix fills column j with the kernel run on {j: 1+0j}, so its
+columns are apply_gate's bytes for every kind by construction. The route
+that shares no code with this module is the Kronecker-product oracle in
+tests/helpers.py.
 """
 
 from __future__ import annotations
@@ -69,7 +63,7 @@ import numbers
 import operator
 from dataclasses import dataclass
 from functools import cached_property, lru_cache, partial
-from typing import Callable, Iterable, Iterator, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -80,7 +74,7 @@ _SQRT_HALF_J = complex(SQRT_HALF)
 # many qubits a single matrix no longer fits comfortably in memory.
 GATE_MATRIX_QUBIT_LIMIT = 12
 
-# Widest support-held state that may be made dense: 2^20 amplitudes, 16 MiB.
+# Widest state whose dense array may be built: 2^20 amplitudes, 16 MiB.
 # The widest protocol state densified in use is 19 qubits (n = 8); the next
 # protocol width, 21 qubits, would make the `run` document's text alone
 # several GiB.
@@ -231,19 +225,18 @@ def protocol_layout(n: int, friend_width: int = 1) -> RegisterLayout:
     )
 
 
-def l2_norm(amplitudes: Iterable[complex] | np.ndarray) -> float:
+def l2_norm(amplitudes: Iterable[complex]) -> float:
     """sqrt(sum re^2 + sum im^2), each sum taken left to right.
 
-    The running sums (np.cumsum) add in the order given, as Python's float
-    sum does through 3.11, so the same values in the same order give the
-    same bits whether they come as a list, a generator or an array.
+    A plain float loop, not sum(), which compensates from Python 3.12 on:
+    the same values in the same order give the same bits on every version,
+    whether they come as a list, a generator or an array.
     """
-    if not isinstance(amplitudes, np.ndarray):
-        amplitudes = np.fromiter(amplitudes, dtype=np.complex128)
-    if not amplitudes.size:
-        return 0.0
-    re, im = amplitudes.real, amplitudes.imag
-    return math.sqrt(np.cumsum(re * re)[-1] + np.cumsum(im * im)[-1])
+    re = im = 0.0
+    for amp in amplitudes:
+        re += amp.real * amp.real
+        im += amp.imag * amp.imag
+    return math.sqrt(re + im)
 
 
 def check_dense_limit(layout: RegisterLayout) -> None:
@@ -259,8 +252,8 @@ def check_dense_limit(layout: RegisterLayout) -> None:
 
 def dense_amplitudes(
     layout: RegisterLayout,
-    indices: Sequence[int] | np.ndarray,
-    values: Sequence[complex] | np.ndarray,
+    indices: Sequence[int],
+    values: Sequence[complex],
 ) -> np.ndarray:
     """Read-only dense array holding `values` at `indices` and zeros elsewhere.
 
@@ -275,18 +268,16 @@ def dense_amplitudes(
 
 
 class StateVector:
-    """Immutable amplitude vector over a register layout.
+    """Immutable amplitude vector over a register layout, held as its support.
 
-    Built from a dense amplitude array, `StateVector(layout, amplitudes)`, or
-    from its support, `StateVector(layout, support={index: amplitude})`,
-    with every index not listed holding zero. A support-held state makes
-    `.amplitudes` on first access (see STATE_QUBIT_LIMIT); nonzero_items()
-    and listed_items() read either form without doing so. Data from a caller
-    is validated (index range, finite values); a kernel's output, wrapped by
-    _state, is not scanned again. norm, == and fidelity work on the
-    nonzero items when a support-held state is involved, reading a dense
-    operand only at the other's support, and on whole arrays when every
-    state is dense, where a per-item loop would cost O(2^n) in Python.
+    Built from its support, `StateVector(layout, support={index: amplitude})`,
+    with every index not listed holding zero, or from a dense amplitude
+    array, `StateVector(layout, amplitudes)`, which lists every entry whose
+    float64 bit pattern is nonzero (so a -0.0 is listed) and keeps the
+    validated read-only array as `.amplitudes`. Otherwise `.amplitudes` is
+    built on first access (see STATE_QUBIT_LIMIT). Data from a caller is
+    validated (length or index range, finite values); a kernel's output,
+    wrapped by _state, is not scanned again.
     """
 
     def __init__(
@@ -305,11 +296,12 @@ class StateVector:
         self.__post_init__()
 
     def __post_init__(self, kernel_output: bool = False) -> None:
-        """Validate and freeze the held form; runs on every construction.
+        """Validate the caller's data and list its support; runs on every
+        construction.
 
-        A kernel's output (kernel_output, from _state) is already a frozen
-        array or a fresh dict of int keys and complex values computed from
-        validated data, so it is kept as it is.
+        A kernel's output (kernel_output, from _state) is a fresh dict of int
+        keys and complex values computed from validated data, so it is kept
+        as it is.
         """
         if kernel_output:
             return
@@ -336,15 +328,16 @@ class StateVector:
             arr = arr.copy()
         if arr.flags.writeable:
             arr.setflags(write=False)
+        bits = np.ascontiguousarray(arr).view(np.uint64)
+        idx = np.flatnonzero(bits[0::2] | bits[1::2])
         object.__setattr__(self, "_dense", arr)
+        object.__setattr__(self, "_support", dict(zip(idx.tolist(), arr[idx].tolist())))
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError(f"StateVector is immutable; cannot set {name!r}")
 
     def __repr__(self) -> str:
-        held = self._support if self._support is not None else self._dense
-        form = "support" if self._support is not None else "amplitudes"
-        return f"StateVector(layout={self.layout!r}, {form}={held!r})"
+        return f"StateVector(layout={self.layout!r}, support={self._support!r})"
 
     @property
     def amplitudes(self) -> np.ndarray:
@@ -357,45 +350,20 @@ class StateVector:
 
     def nonzero_items(self) -> list[tuple[int, complex]]:
         """(basis index, amplitude) of every nonzero amplitude, ascending index."""
-        if self._support is not None:
-            return sorted((i, a) for i, a in self._support.items() if a)
-        idx = np.flatnonzero(self._dense)
-        return list(zip(idx.tolist(), self._dense[idx].tolist()))
+        return sorted((i, a) for i, a in self._support.items() if a)
 
     def listed_items(self) -> list[tuple[int, complex]]:
-        """(basis index, amplitude) of every entry the state holds explicitly.
-
-        For a support-held state these are its support keys, in support order
-        and kept even when the value is zero; for a dense-held state, the
-        entries whose real or imaginary float64 bit pattern is nonzero, so a
-        -0.0 is listed. Every other entry is +0.0 in both parts.
-        """
-        if self._support is not None:
-            return list(self._support.items())
-        bits = np.ascontiguousarray(self._dense).view(np.uint64)
-        idx = np.flatnonzero(bits[0::2] | bits[1::2])
-        return list(zip(idx.tolist(), self._dense[idx].tolist()))
-
-    @property
-    def dense_held(self) -> bool:
-        """True when the state is held as an amplitude array, not its support."""
-        return self._support is None
+        """(basis index, amplitude) of every support entry, in support order,
+        kept even when the value is zero. Every other entry is +0.0 in both
+        parts."""
+        return list(self._support.items())
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, StateVector):
             return NotImplemented
         if self.layout != other.layout:
             return False
-        if self._support is None and other._support is None:
-            return np.array_equal(self._dense, other._dense)
-        if self._support is not None and other._support is not None:
-            return dict(self.nonzero_items()) == dict(other.nonzero_items())
-        # One side dense: equal when it holds exactly the other's nonzero
-        # entries, read at those indices rather than walked entry by entry.
-        held, dense = (self, other._dense) if other._support is None else (other, self._dense)
-        items = held.nonzero_items()
-        at_support = dense[[i for i, _ in items]].tolist()
-        return np.count_nonzero(dense) == len(items) and at_support == [a for _, a in items]
+        return dict(self.nonzero_items()) == dict(other.nonzero_items())
 
     __hash__ = None  # type: ignore[assignment]
 
@@ -404,24 +372,18 @@ class StateVector:
         return self.layout.dim
 
     def norm(self) -> float:
-        if self._support is None:
-            return float(np.linalg.norm(self._dense))
         return l2_norm(a for _, a in self.nonzero_items())
 
 
 _new_state = partial(object.__new__, StateVector)
 
 
-def _state(layout: RegisterLayout, held: np.ndarray | dict[int, complex]) -> StateVector:
-    """Wrap a kernel's output, an amplitude array or a support dict, in a
-    StateVector without checking or scanning it again."""
+def _state(layout: RegisterLayout, support: dict[int, complex]) -> StateVector:
+    """Wrap a kernel's output support dict in a StateVector without checking
+    or scanning it again."""
     state = _new_state()
     fields = state.__dict__
-    fields["layout"] = layout
-    if type(held) is dict:
-        fields["_dense"], fields["_support"] = None, held
-    else:
-        fields["_dense"], fields["_support"] = held, None
+    fields["layout"], fields["_dense"], fields["_support"] = layout, None, support
     state.__post_init__(True)
     return state
 
@@ -515,7 +477,7 @@ class GateOp:
         self._compile(layout.total_qubits)
 
     def _compile(self, total: int) -> _Compiled:
-        """This op's (flip pairs, support kernel) on `total` qubits.
+        """This op's (flip pairs, kernel) on `total` qubits.
 
         Built on the first call for a count and stored only if _check
         passes, so every later call for that count is one dict lookup.
@@ -602,12 +564,6 @@ class GateOp:
         fields["_compiled"] = {total: _compile_entry(op, total) for total in self._compiled}
         return op
 
-    def inverse(self) -> "GateOp":
-        """Inverse gate; every kind here is self-inverse except RY."""
-        if self.kind is GateKind.RY:
-            return GateOp(self.kind, self.targets, self.controls, angle=-self.angle)
-        return self
-
 
 _new_op = partial(object.__new__, GateOp)
 
@@ -692,9 +648,6 @@ class Circuit:
             depth = max(depth, layer)
         return depth
 
-    def inverse(self) -> "Circuit":
-        return Circuit(self.layout, tuple(op.inverse() for op in reversed(self.ops)))
-
 
 # ---------------------------------------------------------------------------
 # gate application kernels
@@ -718,21 +671,6 @@ def flip_pairs(op: GateOp, total: int) -> tuple[tuple[int, int], ...]:
     if pairs is None:
         raise ValueError(f"{op.kind.value} is not a basis permutation")
     return pairs
-
-
-def _permute(
-    pairs: tuple[tuple[int, int], ...], total: int, amps: np.ndarray
-) -> np.ndarray:
-    """out[i] = amps[source(i)] for the pairs' permutation, read-only."""
-    out = amps.reshape((2,) * total).copy()
-    bits = [1 << (total - 1 - q) for q in range(total)]
-    for cmask, fmask in pairs:
-        # Length-1 slices keep every axis, so axis q stays qubit q.
-        view = out[tuple(slice(1, 2) if cmask & b else slice(None) for b in bits)]
-        view[...] = np.flip(view, tuple(q for q, b in enumerate(bits) if fmask & b))
-    out = out.reshape(-1)
-    out.setflags(write=False)
-    return out
 
 
 def _flip_support(cmask: int, fmask: int, support: dict[int, complex]) -> dict[int, complex]:
@@ -785,30 +723,21 @@ def _coefficients(op: GateOp) -> _Coefficients:
     return complex(math.cos(op.angle / 2.0)), complex(math.sin(op.angle / 2.0))
 
 
-def _mix(coeffs: _Coefficients, a0, a1) -> Iterator:
-    """H (coeffs None) or RY (coeffs from _coefficients) on (target = 0,
-    target = 1) amplitude pairs: yields the new target-0 value, then the new
-    target-1 value.
+def _mix(coeffs: _Coefficients, a0: complex, a1: complex) -> tuple[complex, complex]:
+    """H (coeffs None) or RY (coeffs from _coefficients) on one (target = 0,
+    target = 1) amplitude pair: the new target-0 and target-1 values.
 
-    Works elementwise on arrays and on Python complex scalars alike. numpy
-    multiplies by a real scalar as by c + 0j, in full: (x + yj)(c + 0j) =
-    (xc - y0) + (x0 + yc)j. The factors are complex here, so Python's
-    scalar product (on every version) is that same expression. A dense
-    kernel stores the first output before the second is computed, so it
-    holds one temporary at a time.
-
-    RY adds +0j, which turns -0.0 into +0.0 and leaves every other value
-    as it is: for cos(angle / 2) < 0 a pair of +0j would otherwise come out
-    -0.0, which a dense array would hold where the support form lists
-    nothing.
+    The factors are complex, so every product is the full complex product
+    (x + yj)(c + 0j) = (xc - y0) + (x0 + yc)j on every Python version.
+    RY adds +0j, which turns -0.0 into +0.0 and leaves every other value as
+    it is: for cos(angle / 2) < 0 a listed pair of zeros would otherwise come
+    out -0.0 where an unlisted pair reads +0.0, so the bytes of a state would
+    depend on which of its zeros its support lists.
     """
     if coeffs is None:
-        yield (a0 + a1) * _SQRT_HALF_J
-        yield (a0 - a1) * _SQRT_HALF_J
-    else:
-        c, s = coeffs
-        yield c * a0 - s * a1 + 0j
-        yield s * a0 + c * a1 + 0j
+        return (a0 + a1) * _SQRT_HALF_J, (a0 - a1) * _SQRT_HALF_J
+    c, s = coeffs
+    return c * a0 - s * a1 + 0j, s * a0 + c * a1 + 0j
 
 
 def _mix_support(
@@ -817,8 +746,7 @@ def _mix_support(
     """H or RY on the target qubit whose global-index bit is `bit`.
 
     Every pair with a listed entry is computed through _mix, with an
-    unlisted partner read as the 0j a dense array holds, and kept even when
-    it comes out zero, so both forms end with identical bytes.
+    unlisted partner read as 0j, and kept even when it comes out zero.
     """
     out = {}
     for low in {index & ~bit for index in held}:
@@ -827,63 +755,44 @@ def _mix_support(
     return out
 
 
-def _mix_dense(coeffs: _Coefficients, t: int, total: int, held: np.ndarray) -> np.ndarray:
-    """H or RY on qubit t of a read-only amplitude array, every (i, i|t) pair
-    at once through _mix; the output is read-only."""
-    a = held.reshape(1 << t, 2, 1 << (total - 1 - t))
-    out = np.empty_like(a)
-    mixed = _mix(coeffs, a[:, 0, :], a[:, 1, :])
-    out[:, 0, :] = next(mixed)
-    out[:, 1, :] = next(mixed)
-    out = out.reshape(-1)
-    out.setflags(write=False)
-    return out
-
-
-_SupportKernel = Callable[[dict[int, complex]], dict[int, complex]]
-_DenseKernel = Callable[[np.ndarray], np.ndarray]
-# One entry of GateOp's record: flip pairs (None for H and RY), support
-# kernel, dense kernel.
-_Compiled = tuple[tuple[tuple[int, int], ...] | None, _SupportKernel, _DenseKernel]
+_Kernel = Callable[[dict[int, complex]], dict[int, complex]]
+# One entry of GateOp's record: flip pairs (None for H and RY) and kernel.
+_Compiled = tuple[tuple[tuple[int, int], ...] | None, _Kernel]
 
 
 def _compile_entry(op: GateOp, total: int) -> _Compiled:
-    """The flip pairs, support kernel and dense kernel of an op valid on
-    `total` qubits: the one place where a gate kind becomes code.
+    """The flip pairs and kernel of an op valid on `total` qubits: the one
+    place where a gate kind becomes code.
 
-    A transversal CNOT compiles to one pair per qubit pair and runs on a
-    support from their _fold; every other permuting kind compiles to one
-    pair, run on a support by _flip_support. The dense kernel of every
-    permuting kind is _permute over its pairs. H and RY have no pairs and
-    run through _mix_support and _mix_dense. A kernel holds only masks and
-    coefficients, never the op, so it makes no reference cycle.
+    A transversal CNOT compiles to one pair per qubit pair and runs from
+    their _fold; every other permuting kind compiles to one pair, run by
+    _flip_support. H and RY have no pairs and run through _mix_support. A
+    kernel holds only masks and coefficients, never the op, so it makes no
+    reference cycle.
     """
     kind = op.kind
     if kind is GateKind.H or kind is GateKind.RY:
         t, coeffs = op.targets[0], _coefficients(op)
-        support = partial(_mix_support, coeffs, 1 << (total - 1 - t))
-        return None, support, partial(_mix_dense, coeffs, t, total)
+        return None, partial(_mix_support, coeffs, 1 << (total - 1 - t))
     if kind is GateKind.TRANSVERSAL_CNOT:
         pairs = tuple(
             (_mask(total, (c,)), _mask(total, (t,)))
             for c, t in zip(op.controls, op.targets)
         )
-        support = partial(_shift_support, _fold(pairs))
+        kernel = partial(_shift_support, _fold(pairs))
     else:
         flipped = op.targets  # X, MULTI_X, CNOT
         if kind is GateKind.ENCODE_MU:
             flipped = [t for bit, t in zip(op.payload, op.targets) if bit == "1"]
         pairs = ((_mask(total, op.controls), _mask(total, flipped)),)
-        support = partial(_flip_support, *pairs[0])
-    return pairs, support, partial(_permute, pairs, total)
+        kernel = partial(_flip_support, *pairs[0])
+    return pairs, kernel
 
 
 def apply_gate(state: StateVector, op: GateOp) -> StateVector:
     """Apply one gate; returns a new state, input untouched."""
-    entry = op._compile(state.layout.total_qubits)
-    if state._support is not None:
-        return _state(state.layout, entry[1](state._support))
-    return _state(state.layout, entry[2](state._dense))
+    kernel = op._compile(state.layout.total_qubits)[1]
+    return _state(state.layout, kernel(state._support))
 
 
 def apply_circuit(
@@ -893,8 +802,7 @@ def apply_circuit(
 
     Snapshots are keyed by checkpoint label, in execution order, and the
     labels of one op in checkpoint-table order. An empty circuit returns
-    the input state unchanged and no snapshots. The state keeps its form
-    throughout.
+    the input state unchanged and no snapshots.
     """
     layout = state.layout
     if circuit.layout is not layout and circuit.layout != layout:
@@ -902,11 +810,9 @@ def apply_circuit(
     if not circuit.ops:
         return state, {}
     labels_at = circuit.checkpoints.labels_at
-    total, held, form = layout.total_qubits, state._support, 1
-    if held is None:
-        held, form = state._dense, 2
+    total, held = layout.total_qubits, state._support
     # The Circuit compiled each of its ops for its width when it was made.
-    kernels = (op._compiled[total][form] for op in circuit.ops)
+    kernels = (op._compiled[total][1] for op in circuit.ops)
     snapshots: dict[str, StateVector] = {}
     for i, kernel in enumerate(kernels):
         held = kernel(held)
@@ -919,35 +825,18 @@ def fidelity(a: StateVector, b: StateVector) -> float:
     """Squared overlap |<a|b>|^2."""
     if a.layout != b.layout:
         raise ValueError("states live on different layouts")
-    if a._support is None and b._support is None:
-        return float(abs(np.vdot(a._dense, b._dense)) ** 2)
-    overlap = sum((x.conjugate() * y for x, y in _common_nonzero(a, b)), 0j)
+    theirs = dict(b.nonzero_items())
+    overlap = sum(
+        (x.conjugate() * theirs[i] for i, x in a.nonzero_items() if i in theirs), 0j
+    )
     return float(abs(overlap) ** 2)
-
-
-def _common_nonzero(
-    a: StateVector, b: StateVector
-) -> list[tuple[complex, complex]]:
-    """(a_i, b_i) at every index i where both are nonzero, ascending i.
-
-    At least one state is support-held; a dense operand is read only at the
-    other's support, never walked entry by entry.
-    """
-    if a._support is not None and b._support is not None:
-        theirs = dict(b.nonzero_items())
-        return [(x, theirs[i]) for i, x in a.nonzero_items() if i in theirs]
-    if a._support is None:
-        return [(y, x) for x, y in _common_nonzero(b, a)]
-    items = a.nonzero_items()
-    theirs = b._dense[[i for i, _ in items]].tolist()
-    return [(x, y) for (_, x), y in zip(items, theirs) if y]
 
 
 def gate_matrix(op: GateOp, layout: RegisterLayout) -> np.ndarray:
     """Dense unitary of one gate on the full index space, guarded at
     GATE_MATRIX_QUBIT_LIMIT qubits.
 
-    Column j is the op's compiled support kernel run on basis vector j,
+    Column j is the op's compiled kernel run on basis vector j,
     {j: 1+0j}, so it holds the bytes apply_gate gives there by
     construction; the Kronecker oracle in tests/helpers.py is the
     independent check.

@@ -5,11 +5,12 @@ products and projector sums, then chained as dense matrices, so agreement
 with the library is a genuine two-route check.
 """
 
+import math
 from itertools import product
 
 import numpy as np
 
-from branchcomm.statevec import Circuit, GateOp, RegisterLayout, StateVector
+from branchcomm.statevec import Circuit, GateKind, GateOp, RegisterLayout, StateVector
 
 I2 = np.eye(2, dtype=complex)
 X2 = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -76,6 +77,23 @@ def oracle_apply(amps: np.ndarray, ops, total: int) -> np.ndarray:
     for op in ops:
         vec = oracle_matrix(op, total) @ vec
     return vec
+
+
+def inverse_op(op: GateOp) -> GateOp:
+    """Inverse gate: every kind is self-inverse except RY, whose angle flips."""
+    if op.kind is GateKind.RY:
+        return GateOp.ry(-op.angle, op.targets[0])
+    return op
+
+
+def listed_by_bits(amps) -> list[tuple[int, complex]]:
+    """(index, amplitude) of every entry that is not +0.0 in both parts, the
+    entries a state built from `amps` lists: signed zeros are kept."""
+    return [
+        (i, a)
+        for i, a in enumerate(np.asarray(amps, dtype=complex).tolist())
+        if a or math.copysign(1.0, a.real) < 0 or math.copysign(1.0, a.imag) < 0
+    ]
 
 
 def random_state(layout: RegisterLayout, rng: np.random.Generator) -> StateVector:

@@ -83,24 +83,17 @@ MUTANTS = (
         ),
     ),
     Mutant(
-        "mixed-form == without its count_nonzero",
+        "fidelity summed in descending index order",
         "branchcomm/statevec.py",
-        "return np.count_nonzero(dense) == len(items) and at_support ==",
-        "return at_support ==",
+        "for i, x in a.nonzero_items() if i in theirs), 0j",
+        "for i, x in reversed(a.nonzero_items()) if i in theirs), 0j",
         ("tests/test_statevec.py::test_mixed_form_fidelity_and_equality_read_the_support",),
     ),
     Mutant(
-        "mixed-form fidelity summed in descending index order",
-        "branchcomm/statevec.py",
-        "for x, y in _common_nonzero(a, b)), 0j)",
-        "for x, y in reversed(_common_nonzero(a, b))), 0j)",
-        ("tests/test_statevec.py::test_mixed_form_fidelity_and_equality_read_the_support",),
-    ),
-    Mutant(
-        "dense listed_items drops signed zeros",
+        "an array-built state drops its signed zeros",
         "branchcomm/statevec.py",
         "idx = np.flatnonzero(bits[0::2] | bits[1::2])",
-        "idx = np.flatnonzero(self._dense)",
+        "idx = np.flatnonzero(arr)",
         (
             "tests/test_statevec.py::test_listed_items_keep_signed_zeros",
             "tests/test_cli.py::test_run_document_keeps_signed_zeros_and_both_ends[True]",
@@ -114,7 +107,7 @@ MUTANTS = (
         ("tests/test_statevec.py::test_gateop_remembers_only_passed_validation_per_width",),
     ),
     Mutant(
-        "support-held H written as a0 * SQRT_HALF + a1 * SQRT_HALF",
+        "H written as a0 * SQRT_HALF + a1 * SQRT_HALF",
         "branchcomm/statevec.py",
         "out[low], out[high] = _mix(coeffs, held.get(low, 0j), held.get(high, 0j))",
         "a0, a1 = held.get(low, 0j), held.get(high, 0j); out[low], out[high] = "
@@ -180,13 +173,6 @@ MUTANTS = (
         ),
     ),
     Mutant(
-        "StateVector repr names the other held form",
-        "branchcomm/statevec.py",
-        'form = "support" if self._support is not None else "amplitudes"',
-        'form = "support" if self._support is None else "amplitudes"',
-        ("tests/test_statevec.py::test_repr_names_the_held_form",),
-    ),
-    Mutant(
         "check_bits also accepts the digit 2",
         "branchcomm/statevec.py",
         'bits.strip("01")',
@@ -195,13 +181,6 @@ MUTANTS = (
             "tests/test_protocol.py::test_message_validation",
             "tests/test_cli.py::test_run_usage_errors_exit_1",
         ),
-    ),
-    Mutant(
-        "dense branch indices rebuilt one bit too low",
-        "branchcomm/branches.py",
-        "indices = ((pos >> shift) << high) |",
-        "indices = ((pos >> shift) << (high - 1)) |",
-        ("tests/test_branches.py::test_dense_and_support_held_states_decompose_alike",),
     ),
     Mutant(
         "register_component_magnitude parses its bits with a bare int()",

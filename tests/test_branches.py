@@ -1,4 +1,3 @@
-import json
 import math
 
 import numpy as np
@@ -8,7 +7,6 @@ from branchcomm.branches import (
     ZERO_TOL,
     Branch,
     TransferVerdict,
-    branches_to_json,
     decompose_by_register,
     evaluate_transfer,
     register_component_magnitude,
@@ -21,7 +19,7 @@ from branchcomm.statevec import (
     protocol_layout,
 )
 
-from helpers import random_state
+from helpers import listed_by_bits, random_state
 
 SQRT_HALF = math.sqrt(0.5)
 
@@ -169,15 +167,6 @@ def test_malformed_register_values_fail_alike_in_both_forms(bad):
         assert texts == {"register 'P' value must be a nonempty string over {0,1}, got '-1'"}
 
 
-def test_branches_to_json_round_trip():
-    run = run_protocol(ProtocolConfig(n=1), Message("1"))
-    branches = decompose_by_register(run.final, "R")
-    doc = json.loads(json.dumps(branches_to_json(branches)))
-    assert [entry["label"] for entry in doc] == ["0", "1"]
-    assert doc[0]["amplitude"] == pytest.approx([SQRT_HALF, 0.0])
-    assert doc[0]["registers"]["P"] == "1"
-
-
 # --- verdicts --------------------------------------------------------------------
 
 
@@ -315,6 +304,9 @@ def test_branch_type_is_frozen():
 
 
 def test_dense_and_support_held_states_decompose_alike():
+    """A state built from an array (entries of +0j not listed) and the same
+    state built from its support (zeros listed) give the same branches and
+    component magnitudes."""
     rng = np.random.default_rng(17)
     for trial in range(80):
         layout = protocol_layout(int(rng.integers(1, 4)), int(rng.integers(1, 3)))
@@ -328,7 +320,7 @@ def test_dense_and_support_held_states_decompose_alike():
             values = (rng.normal(size=count) + 1j * rng.normal(size=count)) * scale
             held = StateVector(layout, support=dict(zip(indices.tolist(), values.tolist())))
             dense = StateVector(layout, held.amplitudes)
-        assert dense.dense_held and not held.dense_held
+        assert dense.listed_items() == listed_by_bits(held.amplitudes)
         for register in layout.names:
             from_dense = decompose_by_register(dense, register)
             from_support = decompose_by_register(held, register)

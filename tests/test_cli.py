@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from branchcomm import cli, statevec, suites
+from branchcomm.branches import ZERO_TOL
 from branchcomm.cli import main
 from branchcomm.nogo import ClaimReport, MemoryPreservingSwapG
 from branchcomm.protocol import (
@@ -292,6 +293,36 @@ def test_run_usage_errors_exit_1(capsys):
         code, _, err = run_cli(capsys, *argv)
         assert code == 1, argv
         assert "error" in err
+
+
+def test_run_refuses_a_one_branch_preparation_around_the_zero_tolerance(capsys, tmp_path):
+    """A prepared amplitude at or under ZERO_TOL is a usage error (exit 1),
+    one above it transfers (exit 0); no input near the boundary fails the
+    verdict (exit 2). The sweep crosses the boundary on both amplitudes, in
+    steps finer than the rounding RY adds to a small amp0."""
+    existing = tmp_path / "existing.json"
+    small = [ZERO_TOL * (1 + k * 1e-5) for k in range(-20, 21)]
+    small += [math.nextafter(ZERO_TOL, 0.0), math.nextafter(ZERO_TOL, 1.0), 0.0, -0.0]
+    codes = set()
+    for tiny in small:
+        for amps in (("--amp0", "1", f"--amp1={tiny!r}"), (f"--amp0={tiny!r}", "--amp1", "1")):
+            argv = ("run", "--message", "11", *amps, "-o", str(existing))
+            existing.write_bytes(b"kept\n")
+            code, out, err = run_cli(capsys, *argv)
+            assert code in (0, 1), (argv, err)
+            if code == 1:
+                assert out == "" and len(err.splitlines()) == 1, argv
+                assert "prepares an amplitude at or under 1e-12" in err
+                assert existing.read_bytes() == b"kept\n"
+            codes.add(code)
+    assert codes == {0, 1}
+    for amps, flag in (
+        (("1", "-0.0"), "--amp1"), (("1", "0"), "--amp1"),
+        (("1", "1e-12"), "--amp1"), (("0", "1"), "--amp0"),
+    ):
+        argv = ("run", "--message", "11", f"--amp0={amps[0]}", f"--amp1={amps[1]}")
+        code, _, err = run_cli(capsys, *argv)
+        assert (code, err.split()[:2]) == (1, ["error:", flag]), amps
 
 
 def test_run_past_the_dense_limit_exits_1(capsys, tmp_path):

@@ -54,7 +54,7 @@ CASES = {
     ),
     "run amp1 -0.0": (
         ("run", "--message", "11", "--amp0", "1", "--amp1=-0.0"),
-        (2, "f879dabcc37e45c4", "fd88459035e6d261", None),
+        (1, "e3b0c44298fc1c14", "99e96facce048e52", None),
     ),
     "export qasm": (
         ("export", "--message", "101"),

@@ -29,7 +29,7 @@ from branchcomm.statevec import (
     zero_state,
 )
 
-from helpers import oracle_apply
+from helpers import inverse_op, oracle_apply
 
 SQRT_HALF = math.sqrt(0.5)
 
@@ -395,7 +395,8 @@ def test_protocol_reversibility():
         message = Message("10")
         circuit = build_protocol_circuit(config, message)
         run = run_protocol(config, message)
-        recovered, _ = apply_circuit(run.final, circuit.inverse())
+        inverse = Circuit(circuit.layout, tuple(map(inverse_op, reversed(circuit.ops))))
+        recovered, _ = apply_circuit(run.final, inverse)
         target = zero_state(circuit.layout)
         assert np.max(np.abs(recovered.amplitudes - target.amplitudes)) <= 1e-12
 

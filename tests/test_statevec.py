@@ -29,6 +29,8 @@ from helpers import (
     H2,
     I2,
     X2,
+    inverse_op,
+    listed_by_bits,
     oracle_apply,
     oracle_matrix,
     random_circuit,
@@ -366,10 +368,10 @@ def test_snapshots_follow_op_order_then_table_order():
 
 
 def test_folded_transversal_cnot_matches_pair_by_pair():
-    """The support kernel applies a transversal CNOT as one map per
-    control-to-target distance; the dense kernel applies its flip pairs one
-    by one. Both give the same bytes, for distances that differ in size and
-    in sign."""
+    """The kernel applies a transversal CNOT as one map per control-to-target
+    distance; it moves each listed entry where its flip pairs, applied one by
+    one, move it, for distances that differ in size and in sign, and gives
+    an array-built input the bytes it gives the support-built one."""
     rng = np.random.default_rng(20261020)
     fixed = [((0, 1), (3, 2)), ((3, 2), (0, 1)), ((0, 3), (2, 1))]
     several_distances = 0
@@ -391,10 +393,10 @@ def test_folded_transversal_cnot_matches_pair_by_pair():
             indices = rng.choice(layout.dim, size=size, replace=False).tolist()
             values = rng.normal(size=size) + 1j * rng.normal(size=size)
             held = StateVector(layout, support=dict(zip(indices, values.tolist())))
+            from_array = StateVector(layout, held.amplitudes)
+            assert from_array.listed_items() == sorted(held.listed_items())
             folded = apply_gate(held, op)
-            paired = apply_gate(StateVector(layout, held.amplitudes), op)
-            assert not folded.dense_held and paired.dense_held
-            assert folded.amplitudes.tobytes() == paired.amplitudes.tobytes()
+            assert folded.amplitudes.tobytes() == apply_gate(from_array, op).amplitudes.tobytes()
 
             moved = {}
             for index, amp in held.listed_items():
@@ -409,9 +411,10 @@ def test_folded_transversal_cnot_matches_pair_by_pair():
 def test_repr_names_the_held_form():
     held = StateVector(QRF, support={5: 0.6, 1: 0.8j})
     assert repr(held) == f"StateVector(layout={QRF!r}, support={{5: (0.6+0j), 1: 0.8j}})"
+    # an array-built state shows the support it lists, in ascending index order
     dense = StateVector(QRF, held.amplitudes)
-    assert repr(dense) == f"StateVector(layout={QRF!r}, amplitudes={dense.amplitudes!r})"
-    assert repr(dense).count("0.8j") == 1 and "support=" not in repr(dense)
+    assert repr(dense) == f"StateVector(layout={QRF!r}, support={{1: 0.8j, 5: (0.6+0j)}})"
+    assert "amplitudes=" not in repr(dense)
 
 
 def test_gate_count_and_layer_depth():
@@ -600,7 +603,7 @@ def test_ry_inverse_negates_angle():
     layout = RegisterLayout((("q", 2),))
     state = random_state(layout, rng)
     op = GateOp.ry(0.9, 1)
-    back = apply_gate(apply_gate(state, op), op.inverse())
+    back = apply_gate(apply_gate(state, op), inverse_op(op))
     assert np.max(np.abs(back.amplitudes - state.amplitudes)) <= 1e-12
 
 
@@ -615,7 +618,7 @@ def test_fidelity_examples():
         fidelity(zero, zero_state(QRF))
 
 
-# --- support-held and dense forms -------------------------------------------
+# --- states built from their support and from an array ----------------------
 
 
 def _fidelity_by_items(a, b):
@@ -628,18 +631,22 @@ def _fidelity_by_items(a, b):
     return float(abs(overlap) ** 2)
 
 
-def test_mixed_form_fidelity_and_equality_read_the_support(monkeypatch):
+def test_mixed_form_fidelity_and_equality_read_the_support():
+    """fidelity and == of an array-built state against support-built ones
+    read the nonzero entries both list, in ascending index order."""
     rng = np.random.default_rng(8)
     layout = RegisterLayout((("q", 10),))
     amps = rng.standard_normal(layout.dim) + 1j * rng.standard_normal(layout.dim)
     amps[rng.choice(layout.dim, 300, replace=False)] = 0.0
     dense = StateVector(layout, amps / np.linalg.norm(amps))
+    assert dense.listed_items() == listed_by_bits(dense.amplitudes)
+    assert len(dense.listed_items()) == layout.dim - 300
     zeros = np.flatnonzero(dense.amplitudes == 0)
     cases = []
     for size in (0, 1, 2, 40):
         picked = rng.choice(layout.dim, size, replace=False).tolist()
         if size:
-            picked[0] = int(zeros[0])  # a zero partner in the dense operand
+            picked[0] = int(zeros[0])  # a zero partner in the array-built operand
         values = rng.standard_normal(size) + 1j * rng.standard_normal(size)
         cases.append(StateVector(layout, support=dict(zip(picked, values.tolist()))))
 
@@ -648,13 +655,6 @@ def test_mixed_form_fidelity_and_equality_read_the_support(monkeypatch):
         for s in cases
         for order in (0, 1)
     }
-    real_items = StateVector.nonzero_items
-
-    def support_only(self):
-        assert not self.dense_held, "a dense operand was walked entry by entry"
-        return real_items(self)
-
-    monkeypatch.setattr(StateVector, "nonzero_items", support_only)
     for held in cases:
         as_dense = StateVector(layout, held.amplitudes.copy())
         for order, (a, b) in enumerate(((dense, held), (held, dense))):
@@ -688,8 +688,8 @@ def test_support_and_dense_routes_agree_on_random_circuits():
             circuit = random_circuit(rng, layout, max_gates=6)
             via_support, _ = apply_circuit(held, circuit)
             via_dense, _ = apply_circuit(dense, circuit)
-            # white-box: each route kept its own form
-            assert via_support._support is not None and via_dense._support is None
+            # an array-built basis state lists the one entry the other lists
+            assert dense.listed_items() == held.listed_items()
             assert np.array_equal(via_support.amplitudes, via_dense.amplitudes)
             expected = oracle_apply(dense.amplitudes, circuit.ops, total)
             assert np.max(np.abs(via_support.amplitudes - expected)) <= 1e-12
@@ -703,9 +703,28 @@ def test_support_and_dense_routes_agree_on_random_circuits():
             assert abs(fidelity(via_support, dense) - fidelity(via_dense, held)) <= 1e-12
 
 
+def _array_step(amps, op, total):
+    """amps after one op by numpy array arithmetic: a basis permutation read
+    off the Kronecker oracle's 0/1 matrix, and H or RY as the elementwise
+    complex expressions over every (i, i|t) pair at once."""
+    if op.kind not in (GateKind.H, GateKind.RY):
+        return amps[np.argmax(oracle_matrix(op, total), axis=1)]
+    pairs = amps.reshape(1 << op.targets[0], 2, -1)
+    a0, a1 = pairs[:, 0, :], pairs[:, 1, :]
+    if op.kind is GateKind.H:
+        half = complex(math.sqrt(0.5))
+        mixed = ((a0 + a1) * half, (a0 - a1) * half)
+    else:
+        c, s = complex(math.cos(op.angle / 2.0)), complex(math.sin(op.angle / 2.0))
+        mixed = (c * a0 - s * a1 + 0j, s * a0 + c * a1 + 0j)
+    return np.stack(mixed, axis=1).reshape(-1)
+
+
 def test_mixing_kernel_agrees_bit_for_bit_in_both_forms():
     """H and RY on superposed states, signed zeros and RY(-0.0) included:
-    every snapshot has the same bytes in both forms, not just equal values."""
+    every snapshot has the bytes numpy's array arithmetic gives, not just
+    equal values, whether the input was built from its support (zeros
+    listed) or from its array (+0j entries not listed)."""
     rng = np.random.default_rng(20261019)
     zeros = [0j, complex(-0.0, 0.0), complex(0.0, -0.0), complex(-0.0, -0.0)]
     for total in (1, 2, 3, 4):
@@ -719,6 +738,7 @@ def test_mixing_kernel_agrees_bit_for_bit_in_both_forms():
                 support[index] = zeros[int(rng.integers(len(zeros)))]
             held = StateVector(layout, support=support)
             dense = StateVector(layout, held.amplitudes)
+            assert dense.listed_items() == listed_by_bits(held.amplitudes)
 
             ops = list(random_circuit(rng, layout, max_gates=3).ops)
             for _ in range(4):
@@ -731,8 +751,10 @@ def test_mixing_kernel_agrees_bit_for_bit_in_both_forms():
             circuit = Circuit(layout, tuple(ops), tuple((i, str(i)) for i in range(len(ops))))
             _, via_support = apply_circuit(held, circuit)
             _, via_dense = apply_circuit(dense, circuit)
-            for label, state in via_support.items():
-                assert not state.dense_held and via_dense[label].dense_held
+            expected = held.amplitudes
+            for op, (label, state) in zip(circuit.ops, via_support.items()):
+                expected = _array_step(expected, op, total)
+                assert state.amplitudes.tobytes() == expected.tobytes(), (op, label)
                 assert state.amplitudes.tobytes() == via_dense[label].amplitudes.tobytes()
 
 
@@ -785,7 +807,11 @@ def test_caller_data_that_is_not_finite_is_rejected(bad):
 
 
 def test_kernel_outputs_are_not_scanned_again(monkeypatch):
-    state = StateVector(QRF, np.full(8, math.sqrt(1 / 8), dtype=complex))
+    given = np.full(8, math.sqrt(1 / 8), dtype=complex)
+    state = StateVector(QRF, given)
+    # a writable input is copied, then frozen
+    assert state.amplitudes is not given and not state.amplitudes.flags.writeable
+    assert state.listed_items() == list(enumerate(given.tolist()))
 
     def no_scan(*args, **kwargs):
         raise AssertionError("finiteness scan")
@@ -794,7 +820,6 @@ def test_kernel_outputs_are_not_scanned_again(monkeypatch):
     circuit = Circuit(QRF, (GateOp.h(0), GateOp.cnot(0, 1)), ((0, "after_h"),))
     final, snapshots = apply_circuit(state, circuit)
     for out in (final, snapshots["after_h"], apply_gate(state, GateOp.x(2))):
-        assert out.dense_held
         assert not out.amplitudes.flags.writeable
     with pytest.raises(AssertionError, match="finiteness scan"):
         StateVector(QRF, np.ones(8, dtype=complex))
@@ -804,9 +829,10 @@ def test_listed_items_keep_signed_zeros():
     support = {0: -0.0, 2: complex(-0.0, -0.0), 5: 0j, 7: 1e-300j}
     held = StateVector(QRF, support=support)
     dense = StateVector(QRF, held.amplitudes)
-    assert not held.dense_held and dense.dense_held
+    # a read-only input is kept as the state's array, not copied
+    assert dense.amplitudes is held.amplitudes
     assert held.listed_items() == list(support.items())
-    # +0j at index 5 has an all-zero bit pattern, so only the dense form drops it
+    # +0j at index 5 has an all-zero bit pattern, so only the array-built state drops it
     listed = dense.listed_items()
     assert [i for i, _ in listed] == [0, 2, 7]
     assert [repr((a.real, a.imag)) for _, a in listed] == [
