@@ -10,13 +10,10 @@ probability distribution.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
 from typing import Sequence
 
-import numpy as np
-
 from .protocol import Message, ProtocolRun
-from .statevec import RegisterLayout, StateVector, dense_amplitudes, l2_norm
+from .statevec import RegisterLayout, StateVector, l2_norm
 
 # Amplitudes below this are numerical dust and are treated as zero.
 ZERO_TOL = 1e-12
@@ -30,9 +27,7 @@ class Branch:
     vector, and its L2 weight otherwise. `local_state` maps every register
     to its bit-string and is present only for single-basis-vector
     components. `indices` and `values` list the component's nonzero
-    amplitudes in ascending index order; `component` is the same projection
-    as a full-length dense array (unnormalized, read-only), built on first
-    access, so decompositions can be re-summed and re-projected.
+    amplitudes in ascending index order: the unnormalized projection.
     """
 
     label: str
@@ -41,10 +36,6 @@ class Branch:
     layout: RegisterLayout = field(compare=False, repr=False)
     indices: Sequence[int] = field(compare=False, repr=False)
     values: Sequence[complex] = field(compare=False, repr=False)
-
-    @cached_property
-    def component(self) -> np.ndarray:
-        return dense_amplitudes(self.layout, self.indices, self.values)
 
 
 def _groups(

@@ -17,32 +17,25 @@ from .statevec import (
     RegisterLayout,
     StateVector,
     apply_circuit,
-    flip_pairs,
     zero_state,
 )
 
 
-def _gate_lines(op: GateOp, total: int) -> list[str]:
-    """One x or cx per flipped bit, in op.targets order.
-
-    A flip mask with one bit set names its qubit directly, so a transversal
-    CNOT over n pairs does not scan all n targets for each pair.
-    """
-    if op.kind is GateKind.H:
+def _gate_lines(op: GateOp) -> list[str]:
+    """The op's x, h or cx lines, read from its fields: one cx per
+    (control, target) pair of a transversal CNOT, else one x or cx per
+    flipped target (GateOp.flipped), in op.targets order."""
+    kind = op.kind
+    if kind is GateKind.H:
         return [f"h q[{op.targets[0]}];"]
-    lines = []
-    for cmask, fmask in flip_pairs(op, total):
-        if cmask & (cmask - 1):
-            raise ValueError(
-                f"multi-control {op.kind.value} has no x/h/cx representation"
-            )
-        head = f"cx q[{total - cmask.bit_length()}], " if cmask else "x "
-        if fmask & (fmask - 1):
-            flipped = [t for t in op.targets if fmask >> (total - 1 - t) & 1]
-        else:  # one bit or none, as in every pair of a transversal CNOT
-            flipped = [total - fmask.bit_length()] if fmask else []
-        lines.extend(f"{head}q[{t}];" for t in flipped)
-    return lines
+    if kind is GateKind.RY:
+        raise ValueError(f"{kind.value} is not a basis permutation")
+    if kind is GateKind.TRANSVERSAL_CNOT:
+        return [f"cx q[{c}], q[{t}];" for c, t in zip(op.controls, op.targets)]
+    if len(op.controls) > 1:
+        raise ValueError(f"multi-control {kind.value} has no x/h/cx representation")
+    head = f"cx q[{op.controls[0]}], " if op.controls else "x "
+    return [f"{head}q[{t}];" for t in op.flipped]
 
 
 def to_qasm(circuit: Circuit, measure: bool = False) -> str:
@@ -58,7 +51,7 @@ def to_qasm(circuit: Circuit, measure: bool = False) -> str:
         for name, width in circuit.layout.registers:
             lines.append(f"creg c{name.lower()}[{width}];")
     for op in circuit.ops:
-        lines.extend(_gate_lines(op, total))
+        lines.extend(_gate_lines(op))
     if measure:
         for name, width in circuit.layout.registers:
             offset = circuit.layout.offset(name)

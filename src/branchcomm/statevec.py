@@ -17,33 +17,34 @@ kept as the state's `.amplitudes`. Any other state builds that array on
 first access, up to STATE_QUBIT_LIMIT qubits.
 
 Five gate kinds (X, MULTI_X, CNOT, ENCODE_MU, TRANSVERSAL_CNOT) only permute
-basis states. Each compiles to an ordered list of (control mask C, flip
-mask F) pairs, applied in turn; a pair flips the bits of F in every basis
-index whose C bits are all set, with bit masks taken over the global index.
-These pairs are the single description of those kinds: the compiled record
-holds the kernel built from them, and the QASM emitter reads them. The
-kernel of a TRANSVERSAL_CNOT is folded from its pairs (_fold): the pairs
+basis states, and are described by the op's own fields. X, MULTI_X, CNOT and
+ENCODE_MU flip the qubits GateOp.flipped names in every basis index whose
+control bits are all set: one (control mask, flip mask) pair, with bit masks
+taken over the global index. A TRANSVERSAL_CNOT's (control, target) pairs
 touch pairwise distinct qubits, so they commute, and together they map an
 index i to i ^ spread(i & C), where spread shifts each control bit onto its
 target, one shift per control-to-target distance (the linear reversible
-view of Patel, Markov & Hayes, quant-ph/0302002). So a support entry costs
-one shift per distance, not one test per pair.
+view of Patel, Markov & Hayes, quant-ph/0302002). So its kernel holds one
+control mask per distance, and a support entry costs one shift per
+distance, not one test per pair. Each mask is parsed in one pass from a
+base-2 string, in time linear in the layout's width, so the protocol's
+circuit is built in time and memory linear in the message width. The QASM
+emitter reads the same fields.
 
 What repeats from run to run is validated and compiled once. An op depends
 on a layout only through its total qubit count, so each GateOp keeps one
 record per count, filled by GateOp._compile only once _check has passed:
-its flip pairs and its kernel (the fold among them), both built by
-_compile_entry, the one place where a gate kind becomes code. validate,
-apply_gate, flip_pairs and gate_matrix go through _compile. A Circuit
-compiles each op for its width, checking only the ops with no entry yet, so
-apply_circuit reads its kernels from the records. Its checkpoint table is
-normalised once, with the labels to snapshot after each op, and a Circuit
-built over another's table reuses it, checking only its indices against its
-own op count. GateOp._derive copies a validated ENCODE_MU or RY op with a
-new payload or angle, reruns only the checks that read that field and
-compiles the copy for its template's counts: the protocol builds its two
-per-run ops that way, from templates it validated once.
-protocol_layout is cached, since a RegisterLayout is immutable, and
+its kernel, built by _compile_entry, the one place where a gate kind
+becomes code. validate, apply_gate and gate_matrix go through _compile.
+A Circuit compiles each op for its width, checking only the ops with no
+entry yet, so apply_circuit reads its kernels from the records. Its
+checkpoint table is normalised once, with the labels to snapshot after each
+op, and a Circuit built over another's table reuses it, checking only its
+indices against its own op count. GateOp._derive copies a validated
+ENCODE_MU or RY op with a new payload or angle, reruns only the checks that
+read that field and compiles the copy for its template's counts: the
+protocol builds its two per-run ops that way, from templates it validated
+once. protocol_layout is cached, since a RegisterLayout is immutable, and
 zero_state holds {0: 1+0j}, the all-zero index in every layout.
 
 H and RY mix the two values of one qubit: each (i, i|t) pair with a listed
@@ -476,8 +477,17 @@ class GateOp:
     def validate(self, layout: RegisterLayout) -> None:
         self._compile(layout.total_qubits)
 
-    def _compile(self, total: int) -> _Compiled:
-        """This op's (flip pairs, kernel) on `total` qubits.
+    @property
+    def flipped(self) -> Sequence[int]:
+        """The targets flipped once every control is set, in target order:
+        for ENCODE_MU those whose payload bit is 1, for X, MULTI_X and CNOT
+        all of them. The kernel and the QASM emitter both read it."""
+        if self.kind is GateKind.ENCODE_MU:
+            return [t for bit, t in zip(self.payload, self.targets) if bit == "1"]
+        return self.targets
+
+    def _compile(self, total: int) -> _Kernel:
+        """This op's kernel on `total` qubits.
 
         Built on the first call for a count and stored only if _check
         passes, so every later call for that count is one dict lookup.
@@ -654,23 +664,12 @@ class Circuit:
 
 
 def _mask(total: int, qubits: Iterable[int]) -> int:
-    """Global-index bit mask of distinct qubit positions."""
-    top, mask = 1 << (total - 1), 0
+    """Global-index bit mask of distinct qubit positions, parsed in one pass
+    from a base-2 string (base 2 is exempt from the int string-length limit)."""
+    bits = bytearray(b"0") * total
     for q in qubits:
-        mask |= top >> q
-    return mask
-
-
-def flip_pairs(op: GateOp, total: int) -> tuple[tuple[int, int], ...]:
-    """(control mask, flip mask) pairs of a basis-permuting op, in order.
-
-    Read from the op's compiled record, so an op that is not valid on
-    `total` qubits raises its check's ValueError.
-    """
-    pairs = op._compile(total)[0]
-    if pairs is None:
-        raise ValueError(f"{op.kind.value} is not a basis permutation")
-    return pairs
+        bits[q] = 49  # ord("1"); position 0 is the most significant bit
+    return int(bits, 2)
 
 
 def _flip_support(cmask: int, fmask: int, support: dict[int, complex]) -> dict[int, complex]:
@@ -684,28 +683,14 @@ def _flip_support(cmask: int, fmask: int, support: dict[int, complex]) -> dict[i
     return out
 
 
-def _fold(pairs: tuple[tuple[int, int], ...]) -> tuple[tuple[int, int, int], ...]:
-    """A transversal CNOT's one-bit pairs as (control mask, right shift,
-    left shift), one triple per control-to-target distance.
-
-    The pairs touch pairwise-distinct qubits, so no pair changes another's
-    control bit: they commute, and together they map index to
-    index ^ spread(index), where spread moves each control bit to its
-    target's position: (index & control mask) >> right << left, per triple.
-    """
-    masks: dict[int, int] = {}
-    for cmask, fmask in pairs:
-        distance = cmask.bit_length() - fmask.bit_length()
-        masks[distance] = masks.get(distance, 0) | cmask
-    return tuple((cmask, max(d, 0), max(-d, 0)) for d, cmask in masks.items())
-
-
 def _shift_support(
-    folded: tuple[tuple[int, int, int], ...], support: dict[int, complex]
+    shifts: tuple[tuple[int, int, int], ...], support: dict[int, complex]
 ) -> dict[int, complex]:
-    """A transversal CNOT on a support dict, one pass per triple of its
-    _fold: no triple moves a control bit, so the passes commute."""
-    for cmask, right, left in folded:
+    """A transversal CNOT on a support dict, one pass per (control mask,
+    right shift, left shift) triple: each moves the control bits of one
+    control-to-target distance onto their targets. No triple moves a
+    control bit, so the passes commute."""
+    for cmask, right, left in shifts:
         out = {}
         for index, amp in support.items():
             out[index ^ ((index & cmask) >> right << left)] = amp
@@ -756,42 +741,38 @@ def _mix_support(
 
 
 _Kernel = Callable[[dict[int, complex]], dict[int, complex]]
-# One entry of GateOp's record: flip pairs (None for H and RY) and kernel.
-_Compiled = tuple[tuple[tuple[int, int], ...] | None, _Kernel]
 
 
-def _compile_entry(op: GateOp, total: int) -> _Compiled:
-    """The flip pairs and kernel of an op valid on `total` qubits: the one
-    place where a gate kind becomes code.
+def _compile_entry(op: GateOp, total: int) -> _Kernel:
+    """The kernel of an op valid on `total` qubits, built from its qubit
+    positions: the one place where a gate kind becomes code.
 
-    A transversal CNOT compiles to one pair per qubit pair and runs from
-    their _fold; every other permuting kind compiles to one pair, run by
-    _flip_support. H and RY have no pairs and run through _mix_support. A
-    kernel holds only masks and coefficients, never the op, so it makes no
-    reference cycle.
+    A transversal CNOT's controls are grouped by control-to-target distance
+    t - c, in pair order, one control mask per distance, run by
+    _shift_support. Every other permuting kind is one (control mask, flip
+    mask) pair over its controls and op.flipped, run by _flip_support. H
+    and RY run through _mix_support. A kernel holds only masks and
+    coefficients, never the op, so it makes no reference cycle.
     """
     kind = op.kind
     if kind is GateKind.H or kind is GateKind.RY:
         t, coeffs = op.targets[0], _coefficients(op)
-        return None, partial(_mix_support, coeffs, 1 << (total - 1 - t))
+        return partial(_mix_support, coeffs, 1 << (total - 1 - t))
     if kind is GateKind.TRANSVERSAL_CNOT:
-        pairs = tuple(
-            (_mask(total, (c,)), _mask(total, (t,)))
-            for c, t in zip(op.controls, op.targets)
+        by_distance: dict[int, list[int]] = {}
+        for c, t in zip(op.controls, op.targets):
+            by_distance.setdefault(t - c, []).append(c)
+        shifts = tuple(
+            (_mask(total, controls), max(d, 0), max(-d, 0))
+            for d, controls in by_distance.items()
         )
-        kernel = partial(_shift_support, _fold(pairs))
-    else:
-        flipped = op.targets  # X, MULTI_X, CNOT
-        if kind is GateKind.ENCODE_MU:
-            flipped = [t for bit, t in zip(op.payload, op.targets) if bit == "1"]
-        pairs = ((_mask(total, op.controls), _mask(total, flipped)),)
-        kernel = partial(_flip_support, *pairs[0])
-    return pairs, kernel
+        return partial(_shift_support, shifts)
+    return partial(_flip_support, _mask(total, op.controls), _mask(total, op.flipped))
 
 
 def apply_gate(state: StateVector, op: GateOp) -> StateVector:
     """Apply one gate; returns a new state, input untouched."""
-    kernel = op._compile(state.layout.total_qubits)[1]
+    kernel = op._compile(state.layout.total_qubits)
     return _state(state.layout, kernel(state._support))
 
 
@@ -812,7 +793,7 @@ def apply_circuit(
     labels_at = circuit.checkpoints.labels_at
     total, held = layout.total_qubits, state._support
     # The Circuit compiled each of its ops for its width when it was made.
-    kernels = (op._compiled[total][1] for op in circuit.ops)
+    kernels = (op._compiled[total] for op in circuit.ops)
     snapshots: dict[str, StateVector] = {}
     for i, kernel in enumerate(kernels):
         held = kernel(held)
@@ -847,7 +828,7 @@ def gate_matrix(op: GateOp, layout: RegisterLayout) -> np.ndarray:
             f"gate_matrix is dense and limited to {GATE_MATRIX_QUBIT_LIMIT} "
             f"qubits; layout has {total}"
         )
-    kernel = op._compile(total)[1]
+    kernel = op._compile(total)
     dim = 1 << total
     matrix = np.zeros((dim, dim), dtype=np.complex128)
     for j in range(dim):

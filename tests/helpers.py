@@ -10,7 +10,14 @@ from itertools import product
 
 import numpy as np
 
-from branchcomm.statevec import Circuit, GateKind, GateOp, RegisterLayout, StateVector
+from branchcomm.statevec import (
+    Circuit,
+    GateKind,
+    GateOp,
+    RegisterLayout,
+    StateVector,
+    dense_amplitudes,
+)
 
 I2 = np.eye(2, dtype=complex)
 X2 = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -94,6 +101,12 @@ def listed_by_bits(amps) -> list[tuple[int, complex]]:
         for i, a in enumerate(np.asarray(amps, dtype=complex).tolist())
         if a or math.copysign(1.0, a.real) < 0 or math.copysign(1.0, a.imag) < 0
     ]
+
+
+def branch_component(branch) -> np.ndarray:
+    """A Branch's projection as a full-length read-only dense array, so
+    decompositions can be re-summed and re-projected."""
+    return dense_amplitudes(branch.layout, branch.indices, branch.values)
 
 
 def random_state(layout: RegisterLayout, rng: np.random.Generator) -> StateVector:

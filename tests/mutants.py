@@ -118,11 +118,22 @@ MUTANTS = (
     Mutant(
         "folded transversal CNOT shifts each control bit the wrong way",
         "branchcomm/statevec.py",
-        "distance = cmask.bit_length() - fmask.bit_length()",
-        "distance = fmask.bit_length() - cmask.bit_length()",
+        "by_distance.setdefault(t - c, []).append(c)",
+        "by_distance.setdefault(c - t, []).append(c)",
         (
             "tests/test_statevec.py::test_folded_transversal_cnot_matches_pair_by_pair",
+            "tests/test_statevec.py::test_folded_transversal_cnot_matches_pair_by_pair_when_wide",
             "tests/test_acceptance.py::test_criterion_2_checkpoint_sweep",
+        ),
+    ),
+    Mutant(
+        "QASM transversal CNOT swaps control and target",
+        "branchcomm/qasm.py",
+        'return [f"cx q[{c}], q[{t}];" for c, t in zip(op.controls, op.targets)]',
+        'return [f"cx q[{t}], q[{c}];" for c, t in zip(op.controls, op.targets)]',
+        (
+            "tests/test_qasm.py::test_default_run_emits_the_enumerated_gate_list",
+            "tests/test_qasm.py::test_hand_built_circuit_keeps_target_order",
         ),
     ),
     Mutant(

@@ -241,19 +241,19 @@ def test_run_stdout_is_written_without_the_whole_text(capsys, monkeypatch):
 RUN_STDOUT_MAX_RSS_MIB = 96
 
 
-def test_run_stdout_at_n8_holds_no_whole_document():
-    """`run` at n = 8 with stdout on /dev/null, its peak read as
+def _child_peak_mib(*argv: str) -> tuple[int, float]:
+    """Exit code and peak RSS in MiB of one `branchcomm.cli` call, read as
     RUSAGE_CHILDREN ru_maxrss by a small parent process.
 
     Linux carries the peak RSS of the process that spawns a child into the
-    child's ru_maxrss at exec, so the test process (well past the bound
-    after the rest of the suite) cannot spawn the run and read it directly.
+    child's ru_maxrss at exec, so the test process (well past the bounds
+    after the rest of the suite) cannot spawn the call and read it directly.
     """
     src = Path(cli.__file__).resolve().parents[1]
     parent = (
         "import resource, subprocess, sys\n"
         "code = subprocess.run(\n"
-        "    [sys.executable, '-m', 'branchcomm.cli', 'run', '--message', '10110101'],\n"
+        f"    [sys.executable, '-m', 'branchcomm.cli', *{list(argv)!r}],\n"
         "    stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,\n"
         ").returncode\n"
         "print(code, resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss)\n"
@@ -266,9 +266,30 @@ def test_run_stdout_at_n8_holds_no_whole_document():
         check=True,
     )
     code, peak = map(int, done.stdout.split())
+    return code, peak / 2**20 if sys.platform == "darwin" else peak / 2**10  # bytes or KiB
+
+
+def test_run_stdout_at_n8_holds_no_whole_document():
+    """`run` at n = 8 with stdout on /dev/null."""
+    code, peak_mib = _child_peak_mib("run", "--message", "10110101")
     assert code == 0
-    peak_mib = peak / 2**20 if sys.platform == "darwin" else peak / 2**10  # bytes or KiB
     assert peak_mib < RUN_STDOUT_MAX_RSS_MIB, peak_mib
+
+
+# Peak RSS of `export` at n = 32768 in either format. Its circuit is built
+# in memory linear in n; one (control mask, flip mask) pair per qubit pair
+# of the two transversal CNOTs, as built before, peaked at about 600 MiB.
+EXPORT_WIDE_MAX_RSS_MIB = 128
+
+
+@pytest.mark.parametrize("fmt", ["qasm", "json"])
+def test_wide_export_takes_memory_linear_in_the_width(fmt, tmp_path):
+    path = tmp_path / f"wide.{fmt}"
+    code, peak_mib = _child_peak_mib(
+        "export", "--message", "10" * 16384, "--format", fmt, "-o", str(path)
+    )
+    assert code == 0
+    assert peak_mib < EXPORT_WIDE_MAX_RSS_MIB, peak_mib
 
 
 def test_run_writes_output_file(capsys, tmp_path):

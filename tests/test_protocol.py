@@ -2,11 +2,12 @@ import dataclasses
 import itertools
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from branchcomm import suites
+from branchcomm import protocol, suites
 from branchcomm.branches import verify_transfer
 from branchcomm.protocol import (
     Message,
@@ -512,3 +513,28 @@ def test_wide_messages_transfer_without_dense_vectors(n):
     assert verdict.receiver_paper == message.bits
     with pytest.raises(ValueError, match=f"{2 * n + 3} qubits"):
         run.final.amplitudes
+
+
+# A build at 2n may trace at most this many times the peak of a build at n.
+BUILD_PEAK_GROWTH = 2.5
+
+
+def test_building_a_circuit_takes_memory_linear_in_the_width():
+    """tracemalloc peak of build_protocol_circuit at n = 8192 against
+    n = 4096, each built afresh (the shared parts' cache cleared) after a
+    warm-up build, so first-call costs are not counted."""
+
+    def traced_peak(n):
+        protocol._shared_parts.cache_clear()
+        config, message = ProtocolConfig(n=n), Message("10" * (n // 2))
+        tracemalloc.start()
+        try:
+            build_protocol_circuit(config, message)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+            protocol._shared_parts.cache_clear()
+
+    traced_peak(8)
+    narrow, wide = traced_peak(4096), traced_peak(8192)
+    assert wide <= BUILD_PEAK_GROWTH * narrow, (narrow, wide)

@@ -152,7 +152,7 @@ def test_rotation_gates_are_outside_the_dialect():
         Message("1"),
     )
     assert circuit.ops[0].kind is GateKind.RY
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="RY is not a basis permutation"):
         to_qasm(circuit)
 
 

@@ -17,12 +17,12 @@ from branchcomm.statevec import (
     apply_circuit,
     apply_gate,
     fidelity,
-    flip_pairs,
     gate_matrix,
     l2_norm,
     make_basis_state,
     protocol_layout,
     zero_state,
+    _mask,
 )
 
 from helpers import (
@@ -263,28 +263,48 @@ def test_gateop_remembers_only_passed_validation_per_width():
         bad_qubit.validate(QRF)
 
 
-def test_flip_pairs_compile_once_per_width_outside_equality():
+def test_kernels_compile_once_per_width_outside_equality():
     op = GateOp.transversal_cnot((0, 1), (2, 3))
-    narrow, wide = flip_pairs(op, 4), flip_pairs(op, 6)
-    assert narrow == ((0b1000, 0b0010), (0b0100, 0b0001))
-    assert wide == ((0b100000, 0b001000), (0b010000, 0b000100))
-    assert flip_pairs(op, 4) is narrow and flip_pairs(op, 6) is wide
+    narrow, wide = op._compile(4), op._compile(6)
+    assert narrow({0b1000: 1j, 0b0100: 2.0, 0b1100: 3.0}) == {
+        0b1010: 1j, 0b0101: 2.0, 0b1111: 3.0
+    }
+    assert wide({0b100000: 1j, 0b010000: 2.0, 0b110011: 3.0}) == {
+        0b101000: 1j, 0b010100: 2.0, 0b111111: 3.0
+    }
+    assert op._compile(4) is narrow and op._compile(6) is wide
     op.validate(protocol_layout(1))
+    assert op._compile(5) is op._compile(5) is not narrow
     fresh = GateOp.transversal_cnot((0, 1), (2, 3))
     assert op == fresh and hash(op) == hash(fresh) and repr(op) == repr(fresh)
-    with pytest.raises(ValueError, match="not a basis permutation"):
-        flip_pairs(GateOp.h(0), 4)
 
 
-def test_flip_pairs_of_an_op_not_valid_for_the_width_raise_its_check():
+def test_compiling_an_op_not_valid_for_the_width_raises_its_check():
     for op, total, text in (
         (GateOp.x(5), 3, "qubit 5 out of range for 3-qubit layout"),
         (GateOp.transversal_cnot((0, 7), (1, 9)), 4, "qubit 9 out of range for 4-qubit layout"),
         (GateOp.x(-1), 3, "qubit -1 out of range for 3-qubit layout"),
     ):
+        layout = RegisterLayout((("q", total),))
         for _ in range(2):  # nothing is recorded for a rejected width
             with pytest.raises(ValueError, match=re.escape(text)):
-                flip_pairs(op, total)
+                op._compile(total)
+            with pytest.raises(ValueError, match=re.escape(text)):
+                op.validate(layout)
+        assert total not in op._compiled
+
+
+@pytest.mark.parametrize("total", [1, 7, 64, 4301, 10007])
+def test_masks_match_a_bit_by_bit_reference(total):
+    """_mask parses a base-2 string, which is exempt from the int
+    string-length limit (4300 digits by default), so wide layouts work."""
+    rng = np.random.default_rng(total)
+    for count in (0, 1, total // 2, total):
+        qubits = rng.permutation(total)[:count].tolist()
+        expected = 0
+        for q in qubits:
+            expected |= 1 << (total - 1 - q)
+        assert _mask(total, qubits) == expected
 
 
 # --- circuits -----------------------------------------------------------------
@@ -367,10 +387,23 @@ def test_snapshots_follow_op_order_then_table_order():
         Circuit(QRF, ops, ((0, "a"), (1, "b"), (2, "a")))
 
 
+def _pair_by_pair(controls, targets, total, listed):
+    """Each listed entry moved by the op's one-bit (control, target) pairs
+    applied one by one, masks built bit by bit here."""
+    pairs = [(1 << (total - 1 - c), 1 << (total - 1 - t)) for c, t in zip(controls, targets)]
+    moved = {}
+    for index, amp in listed:
+        for cmask, fmask in pairs:
+            if index & cmask == cmask:
+                index ^= fmask
+        moved[index] = amp
+    return list(moved.items())
+
+
 def test_folded_transversal_cnot_matches_pair_by_pair():
     """The kernel applies a transversal CNOT as one map per control-to-target
-    distance; it moves each listed entry where its flip pairs, applied one by
-    one, move it, for distances that differ in size and in sign, and gives
+    distance; it moves each listed entry where its one-bit pairs, applied one
+    by one, move it, for distances that differ in size and in sign, and gives
     an array-built input the bytes it gives the support-built one."""
     rng = np.random.default_rng(20261020)
     fixed = [((0, 1), (3, 2)), ((3, 2), (0, 1)), ((0, 3), (2, 1))]
@@ -385,9 +418,7 @@ def test_folded_transversal_cnot_matches_pair_by_pair():
                 qubits = rng.permutation(total)[: 2 * width].tolist()
                 controls, targets = qubits[:width], qubits[width:]
             op = GateOp.transversal_cnot(controls, targets)
-            pairs = flip_pairs(op, total)
-            distances = {c.bit_length() - f.bit_length() for c, f in pairs}
-            several_distances += len(distances) > 1
+            several_distances += len({t - c for c, t in zip(controls, targets)}) > 1
 
             size = int(rng.integers(2, min(12, layout.dim) + 1))
             indices = rng.choice(layout.dim, size=size, replace=False).tolist()
@@ -397,15 +428,27 @@ def test_folded_transversal_cnot_matches_pair_by_pair():
             assert from_array.listed_items() == sorted(held.listed_items())
             folded = apply_gate(held, op)
             assert folded.amplitudes.tobytes() == apply_gate(from_array, op).amplitudes.tobytes()
-
-            moved = {}
-            for index, amp in held.listed_items():
-                for cmask, fmask in pairs:
-                    if index & cmask == cmask:
-                        index ^= fmask
-                moved[index] = amp
-            assert folded.listed_items() == list(moved.items())
+            expected = _pair_by_pair(controls, targets, total, held.listed_items())
+            assert folded.listed_items() == expected
     assert several_distances >= 20
+
+
+def test_folded_transversal_cnot_matches_pair_by_pair_when_wide():
+    """At 8192 qubits, over 4096 random pairs with thousands of distinct
+    distances, and over the protocol's one distance in both directions."""
+    rng = np.random.default_rng(8192)
+    total, width = 8192, 4096
+    layout = RegisterLayout((("q", total),))
+    qubits = rng.permutation(total).tolist()
+    for controls, targets in (
+        (qubits[:width], qubits[width:]),
+        (range(width), range(width, total)),
+        (range(width, total), range(width)),
+    ):
+        op = GateOp.transversal_cnot(controls, targets)
+        listed = [(int.from_bytes(rng.bytes(total // 8), "big"), complex(k)) for k in range(1, 5)]
+        folded = apply_gate(StateVector(layout, support=dict(listed)), op)
+        assert folded.listed_items() == _pair_by_pair(op.controls, op.targets, total, listed)
 
 
 def test_repr_names_the_held_form():
