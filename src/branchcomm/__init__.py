@@ -11,7 +11,6 @@ from .branches import (
 )
 from .nogo import (
     ClaimReport,
-    MemoryPreservingSwapG,
     construct_G,
     run_no_uncompute_variant,
     verify_amplitude_immutability,
@@ -58,7 +57,6 @@ __all__ = [
     "FriendSnapshot",
     "GateKind",
     "GateOp",
-    "MemoryPreservingSwapG",
     "Message",
     "ProtocolConfig",
     "ProtocolRun",

@@ -36,7 +36,14 @@ from .protocol import (
     run_protocol,
 )
 from .qasm import to_qasm
-from .statevec import SQRT_HALF, Circuit, GateKind, StateVector, check_dense_limit
+from .statevec import (
+    SQRT_HALF,
+    Circuit,
+    GateKind,
+    StateVector,
+    check_dense_limit,
+    protocol_layout,
+)
 from .suites import SUITE_NAMES, run_suite
 from .swapsynth import FriendSnapshot, synthesize_swap
 
@@ -256,12 +263,13 @@ def _circuit_summary(circuit: Circuit) -> str:
 
 def cmd_run(args: argparse.Namespace) -> int:
     config, message = _protocol_inputs(args)
-    run = run_protocol(config, message)
-    # Checked here, before an existing output file is opened and truncated.
+    # Checked here, before the protocol runs or an existing output file is
+    # opened and truncated.
     try:
-        check_dense_limit(run.final.layout)
+        check_dense_limit(protocol_layout(config.n))
     except ValueError as exc:  # too wide to write out densely
         raise _UsageError(str(exc)) from None
+    run = run_protocol(config, message)
     if config.apply_branch_swap:
         # A prepared amplitude at or under ZERO_TOL leaves one branch to
         # swap: bad input, not a failed transfer. The prepared value is read,

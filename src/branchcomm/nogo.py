@@ -8,9 +8,9 @@ Three obstructions are implemented and measured here.
   verdict.
 
 * Any unitary that swaps a blank memory with a written one must depend on
-  the message it preserves: construct_G builds the canonical such swap for
-  a fixed message, the identity with rows 0 and int(mu) swapped (dense, so
-  limited to GATE_MATRIX_QUBIT_LIMIT message bits), and
+  the message it preserves: construct_G returns the canonical such swap for
+  a fixed message, a read-only complex128 matrix (dense, so limited to
+  GATE_MATRIX_QUBIT_LIMIT message bits), and memory_swap_report checks it.
   witness_mu_dependence measures the pairwise distance
   ||G(mu1)|0> - G(mu2)|0>|| = sqrt(2) over all distinct message pairs,
   certifying no single message-independent G exists.
@@ -22,7 +22,9 @@ Three obstructions are implemented and measured here.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import itertools
+from collections.abc import Sequence
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -56,24 +58,15 @@ class ClaimReport:
         }
 
 
-@dataclass(frozen=True)
-class MemoryPreservingSwapG:
-    """Unitary on the memory space swapping |0...0> with |mu>, fixing the rest."""
-
-    mu: Message
-    dimension: int
-    matrix: np.ndarray = field(compare=False, repr=False)
-
-
-def construct_G(mu: Message) -> MemoryPreservingSwapG:
+def construct_G(mu: Message) -> np.ndarray:
     """Canonical memory swap G(mu) = |mu><0| + |0><mu| + sum_j |j><j|.
 
     The sum runs over j not in {0, k}, k = int(mu), so G is the
-    2^n-dimensional identity with rows 0 and k swapped. The matrix is dense
-    and read-only; messages wider than GATE_MATRIX_QUBIT_LIMIT bits are
-    rejected before anything is allocated. Blank messages are rejected:
-    swapping the blank state with itself is vacuous and leaves the lemma
-    nothing to say.
+    2^n-dimensional identity with rows 0 and k swapped, returned as a dense,
+    read-only complex128 array. Messages wider than GATE_MATRIX_QUBIT_LIMIT
+    bits are rejected before anything is allocated. Blank messages are
+    rejected: swapping the blank state with itself is vacuous and leaves the
+    lemma nothing to say.
     """
     if mu.blank:
         raise ValueError("memory swap is only defined for nonblank messages")
@@ -82,12 +75,11 @@ def construct_G(mu: Message) -> MemoryPreservingSwapG:
             f"construct_G is dense and limited to {GATE_MATRIX_QUBIT_LIMIT} "
             f"message bits; message has {mu.n}"
         )
-    dim = 1 << mu.n
     k = int(mu.bits, 2)
-    matrix = np.eye(dim, dtype=np.complex128)
+    matrix = np.eye(1 << mu.n, dtype=np.complex128)
     matrix[[0, k]] = matrix[[k, 0]]
     matrix.setflags(write=False)
-    return MemoryPreservingSwapG(mu, dim, matrix)
+    return matrix
 
 
 def run_no_uncompute_variant(message: Message) -> tuple[StateVector, TransferVerdict]:
@@ -103,6 +95,11 @@ def run_no_uncompute_variant(message: Message) -> tuple[StateVector, TransferVer
     return run.final, verify_transfer(run, message)
 
 
+def _deviation(got: np.ndarray, want: np.ndarray) -> float:
+    """Largest entrywise |got - want|: how far a measured G property is from exact."""
+    return float(np.max(np.abs(got - want)))
+
+
 def witness_mu_dependence(n: int) -> ClaimReport:
     """Certify that the memory swap cannot be message-independent at width n.
 
@@ -113,42 +110,30 @@ def witness_mu_dependence(n: int) -> ClaimReport:
     """
     if not 1 <= n <= WITNESS_N_LIMIT:
         raise ValueError(f"witness is dense and limited to n <= {WITNESS_N_LIMIT}")
-    dim = 1 << n
-    messages = [Message(format(v, f"0{n}b")) for v in range(1, dim)]
-    zero = np.zeros(dim, dtype=np.complex128)
-    zero[0] = 1.0
-    eye = np.eye(dim)
+    eye = np.eye(1 << n, dtype=np.complex128)
 
-    images: dict[str, np.ndarray] = {}
+    images: list[tuple[int, np.ndarray]] = []
     max_unitarity_dev = 0.0
-    for mu in messages:
-        g = construct_G(mu)
-        max_unitarity_dev = max(
-            max_unitarity_dev,
-            float(np.max(np.abs(g.matrix.conj().T @ g.matrix - eye))),
-        )
-        images[mu.bits] = g.matrix @ zero
+    for value in range(1, 1 << n):
+        g = construct_G(Message(format(value, f"0{n}b")))
+        max_unitarity_dev = max(max_unitarity_dev, _deviation(g.conj().T @ g, eye))
+        images.append((value, g @ eye[0]))
 
     sqrt2 = np.sqrt(2.0)
     pairs = 0
     max_distance_dev = 0.0
     min_distance = np.inf
-    for i, mu1 in enumerate(messages):
-        basis1 = np.zeros(dim, dtype=np.complex128)
-        basis1[int(mu1.bits, 2)] = 1.0
-        for mu2 in messages[i + 1 :]:
-            pairs += 1
-            basis2 = np.zeros(dim, dtype=np.complex128)
-            basis2[int(mu2.bits, 2)] = 1.0
-            dist = float(np.linalg.norm(images[mu1.bits] - images[mu2.bits]))
-            direct = float(np.linalg.norm(basis1 - basis2))
-            max_distance_dev = max(
-                max_distance_dev, abs(dist - sqrt2), abs(direct - sqrt2)
-            )
-            min_distance = min(min_distance, dist)
+    for (value1, image1), (value2, image2) in itertools.combinations(images, 2):
+        pairs += 1
+        dist = float(np.linalg.norm(image1 - image2))
+        direct = float(np.linalg.norm(eye[value1] - eye[value2]))
+        max_distance_dev = max(
+            max_distance_dev, abs(dist - sqrt2), abs(direct - sqrt2)
+        )
+        min_distance = min(min_distance, dist)
 
     measurements: dict = {
-        "messages": len(messages),
+        "messages": len(images),
         "pairs": pairs,
         "max_unitarity_deviation": max_unitarity_dev,
     }
@@ -166,6 +151,37 @@ def witness_mu_dependence(n: int) -> ClaimReport:
         parameters={"n": n},
         measurements=measurements,
         passed=passed,
+    )
+
+
+def memory_swap_report(n: int, values: Sequence[int]) -> ClaimReport:
+    """Check G(mu) for each nonblank n-bit message whose integer value is listed.
+
+    Each G must be unitary and self-inverse, and must equal the identity
+    with rows 0 and int(mu) exchanged: it swaps the blank memory with the
+    message and fixes every other basis state.
+    """
+    dim = 1 << n
+    eye = np.eye(dim, dtype=np.complex128)
+    max_unitarity = max_self_inverse = max_action = 0.0
+    for value in values:
+        g = construct_G(Message(format(value, f"0{n}b")))
+        swapped = eye[[value, *range(1, value), 0, *range(value + 1, dim)]]
+        max_unitarity = max(max_unitarity, _deviation(g.conj().T @ g, eye))
+        max_self_inverse = max(max_self_inverse, _deviation(g @ g, eye))
+        max_action = max(max_action, _deviation(g, swapped))
+    return ClaimReport(
+        claim=(
+            "each memory swap is unitary, self-inverse, and exchanges the "
+            "blank memory with its message while fixing everything else"
+        ),
+        parameters={"n": n, "messages_checked": len(values)},
+        measurements={
+            "max_unitarity_deviation": max_unitarity,
+            "max_self_inverse_deviation": max_self_inverse,
+            "max_action_deviation": max_action,
+        },
+        passed=max(max_unitarity, max_self_inverse, max_action) <= 1e-12,
     )
 
 

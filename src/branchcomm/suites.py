@@ -12,7 +12,7 @@ import numpy as np
 from .branches import verify_transfer
 from .nogo import (
     ClaimReport,
-    construct_G,
+    memory_swap_report,
     run_no_uncompute_variant,
     verify_amplitude_immutability,
     witness_mu_dependence,
@@ -84,8 +84,9 @@ def _mu_independence_report() -> ClaimReport:
 
     Ops are compared with == to the blank-payload circuit's op at the same
     index. gate_matrix is a pure function of (op, layout), so equal ops have
-    bitwise-equal matrices: this is at least as strict as comparing them,
-    which acceptance criterion 3 does as the independent dense oracle.
+    bitwise-equal matrices: this is at least as strict as comparing them.
+    Acceptance criterion 3 compares the matrices of the independent
+    Kronecker-product oracle in tests/helpers.py.
     """
     compared = 0
     mismatches: list[str] = []
@@ -156,47 +157,15 @@ def corollary1_suite() -> list[ClaimReport]:
     ]
 
 
-def _g_properties_report(n: int, sample: int | None = None) -> ClaimReport:
-    dim = 1 << n
-    messages = _all_messages(n, nonblank=True)
-    if sample is not None and sample < len(messages):
-        rng = np.random.default_rng(_SAMPLE_SEED + n)
-        picks = rng.choice(len(messages), size=sample, replace=False)
-        messages = [messages[int(i)] for i in picks]
-    eye = np.eye(dim)
-    max_unitarity = 0.0
-    max_self_inverse = 0.0
-    max_action = 0.0
-    for message in messages:
-        g = construct_G(message).matrix
-        expected = np.eye(dim, dtype=np.complex128)
-        k = int(message.bits, 2)
-        expected[[0, k]] = expected[[k, 0]]
-        max_unitarity = max(max_unitarity, float(np.max(np.abs(g.conj().T @ g - eye))))
-        max_self_inverse = max(max_self_inverse, float(np.max(np.abs(g @ g - eye))))
-        max_action = max(max_action, float(np.max(np.abs(g - expected))))
-    passed = max(max_unitarity, max_self_inverse, max_action) <= 1e-12
-    return ClaimReport(
-        claim=(
-            "each memory swap is unitary, self-inverse, and exchanges the "
-            "blank memory with its message while fixing everything else"
-        ),
-        parameters={"n": n, "messages_checked": len(messages)},
-        measurements={
-            "max_unitarity_deviation": max_unitarity,
-            "max_self_inverse_deviation": max_self_inverse,
-            "max_action_deviation": max_action,
-        },
-        passed=passed,
-    )
-
-
 def lemma1_suite() -> list[ClaimReport]:
     reports = [witness_mu_dependence(2), witness_mu_dependence(3)]
     for n in (2, 3, 4):
-        reports.append(_g_properties_report(n))
+        reports.append(memory_swap_report(n, range(1, 1 << n)))
     for n in (5, 6):
-        reports.append(_g_properties_report(n, sample=10))
+        picks = np.random.default_rng(_SAMPLE_SEED + n).choice(
+            (1 << n) - 1, size=10, replace=False
+        )
+        reports.append(memory_swap_report(n, (picks + 1).tolist()))
     return reports
 
 

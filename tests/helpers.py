@@ -72,9 +72,18 @@ def oracle_matrix(op: GateOp, total: int) -> np.ndarray:
             return full_operator(total, writes)
         return controlled_operator(total, list(op.controls), writes)
     if kind == "TRANSVERSAL_CNOT":
-        out = np.eye(1 << total, dtype=complex)
-        for c, t in zip(op.controls, op.targets):
-            out = controlled_operator(total, [c], {t: X2}) @ out
+        # The pairs touch distinct qubits, so each CNOT fires on its own
+        # control: sum over the control patterns, flipping the target of
+        # every control that reads 1.
+        dim = 1 << total
+        out = np.zeros((dim, dim), dtype=complex)
+        for pattern in product((0, 1), repeat=len(op.controls)):
+            factors = {}
+            for c, t, bit in zip(op.controls, op.targets, pattern):
+                factors[c] = P1 if bit else P0
+                if bit:
+                    factors[t] = X2
+            out += full_operator(total, factors)
         return out
     raise ValueError(f"oracle does not know kind {kind!r}")
 

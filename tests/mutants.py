@@ -83,6 +83,16 @@ MUTANTS = (
         ),
     ),
     Mutant(
+        "the memory swap's action is checked against the plain identity",
+        "branchcomm/nogo.py",
+        "max_action = max(max_action, _deviation(g, swapped))",
+        "max_action = max(max_action, _deviation(g, eye))",
+        (
+            "tests/test_nogo.py::test_memory_swap_report_checks_each_listed_message",
+            "tests/test_cli.py::test_verify_single_suites_pass[lemma1]",
+        ),
+    ),
+    Mutant(
         "fidelity summed in descending index order",
         "branchcomm/statevec.py",
         "for i, x in a.nonzero_items() if i in theirs), 0j",
@@ -215,11 +225,19 @@ MUTANTS = (
     Mutant(
         "run checks the dense limit only after opening the -o file",
         "branchcomm/cli.py",
-        "    try:\n        check_dense_limit(run.final.layout)\n"
+        "    try:\n        check_dense_limit(protocol_layout(config.n))\n"
         "    except ValueError as exc:  # too wide to write out densely\n"
         "        raise _UsageError(str(exc)) from None\n",
         "",
         ("tests/test_cli.py::test_run_past_the_dense_limit_exits_1",),
+    ),
+    Mutant(
+        "run evolves the state before it checks the dense limit",
+        "branchcomm/cli.py",
+        "    try:\n        check_dense_limit(protocol_layout(config.n))\n",
+        "    run_protocol(config, message)\n"
+        "    try:\n        check_dense_limit(protocol_layout(config.n))\n",
+        ("tests/test_cli.py::test_run_refuses_a_too_wide_message_before_running",),
     ),
 )
 

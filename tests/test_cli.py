@@ -9,10 +9,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from branchcomm import cli, statevec, suites
+from branchcomm import cli, nogo, statevec
 from branchcomm.branches import ZERO_TOL
 from branchcomm.cli import main
-from branchcomm.nogo import ClaimReport, MemoryPreservingSwapG
+from branchcomm.nogo import ClaimReport
 from branchcomm.protocol import (
     Message,
     ProtocolConfig,
@@ -360,6 +360,17 @@ def test_run_past_the_dense_limit_exits_1(capsys, tmp_path):
     assert existing.read_bytes() == b"kept\n"
 
 
+def test_run_refuses_a_too_wide_message_before_running(capsys, monkeypatch):
+    def refuse(config, message):
+        raise AssertionError("run_protocol called for a state too wide to write")
+
+    monkeypatch.setattr(cli, "run_protocol", refuse)
+    code, out, err = run_cli(capsys, "run", "--message", "101101101")
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: a dense state of 21 qubits needs 2^21 amplitudes")
+
+
 @pytest.mark.parametrize("command", ["run", "export"])
 def test_unwritable_output_exits_1(capsys, tmp_path, command):
     targets = [tmp_path]  # a directory: open fails
@@ -548,13 +559,12 @@ suite 'lemma1': 7/7 claims verified
 
 def test_verify_lemma1_fails_on_a_wrong_memory_swap(capsys, monkeypatch):
     def wrong_swap(mu):
-        dim = 1 << mu.n
         k = int(mu.bits, 2) ^ 1
-        matrix = np.eye(dim, dtype=np.complex128)
+        matrix = np.eye(1 << mu.n, dtype=np.complex128)
         matrix[[0, k]] = matrix[[k, 0]]
-        return MemoryPreservingSwapG(mu, dim, matrix)
+        return matrix
 
-    monkeypatch.setattr(suites, "construct_G", wrong_swap)
+    monkeypatch.setattr(nogo, "construct_G", wrong_swap)
     code, out, _ = run_cli(capsys, "verify", "--suite", "lemma1")
     assert code == 2
     lines = out.splitlines()

@@ -3,10 +3,12 @@ import math
 import numpy as np
 import pytest
 
+from branchcomm import nogo
 from branchcomm.nogo import (
     WITNESS_N_LIMIT,
     ClaimReport,
     construct_G,
+    memory_swap_report,
     run_no_uncompute_variant,
     verify_amplitude_immutability,
     witness_mu_dependence,
@@ -84,16 +86,16 @@ def test_no_uncompute_n2_against_dense_oracle():
 
 def test_construct_G_single_bit_is_bit_flip():
     g = construct_G(Message("1"))
-    assert g.dimension == 2
-    assert np.array_equal(g.matrix, np.array([[0, 1], [1, 0]], dtype=complex))
+    assert g.shape == (2, 2)
+    assert np.array_equal(g, np.array([[0, 1], [1, 0]], dtype=complex))
 
 
 def test_construct_G_two_bits_swaps_blank_with_message():
     g = construct_G(Message("10"))
     expected = np.eye(4, dtype=complex)
     expected[[0, 2]] = expected[[2, 0]]
-    assert np.max(np.abs(g.matrix - expected)) <= 1e-12
-    assert np.max(np.abs(g.matrix @ g.matrix - np.eye(4))) <= 1e-12
+    assert np.max(np.abs(g - expected)) <= 1e-12
+    assert np.max(np.abs(g @ g - np.eye(4))) <= 1e-12
 
 
 def test_construct_G_rejects_blank():
@@ -107,7 +109,7 @@ def test_construct_G_matches_gram_schmidt_oracle_bitwise():
     for n in range(1, 7):
         for value in range(1, 1 << n):
             bits = format(value, f"0{n}b")
-            g = construct_G(Message(bits)).matrix
+            g = construct_G(Message(bits))
             oracle = gram_schmidt_G(bits)
             assert g.dtype == oracle.dtype and g.shape == oracle.shape
             assert g.tobytes() == oracle.tobytes(), bits
@@ -128,14 +130,14 @@ def test_construct_G_rejects_messages_past_the_dense_limit():
 def test_G_is_unitary_and_self_inverse(n):
     dim = 1 << n
     for value in range(1, dim):
-        g = construct_G(Message(format(value, f"0{n}b"))).matrix
+        g = construct_G(Message(format(value, f"0{n}b")))
         assert np.max(np.abs(g.conj().T @ g - np.eye(dim))) <= 1e-12
         assert np.max(np.abs(g @ g - np.eye(dim))) <= 1e-12
 
 
 def test_G_pairs_differ_on_the_blank_state():
-    g1 = construct_G(Message("01")).matrix
-    g2 = construct_G(Message("10")).matrix
+    g1 = construct_G(Message("01"))
+    g2 = construct_G(Message("10"))
     blank = np.zeros(4, dtype=complex)
     blank[0] = 1.0
     gap = np.linalg.norm((g1 - g2) @ blank)
@@ -143,6 +145,25 @@ def test_G_pairs_differ_on_the_blank_state():
     diff = np.abs(g1 - g2)
     assert np.max(diff) == pytest.approx(1.0, abs=1e-12)
     assert np.linalg.norm(g1 - g2, ord=2) > 1
+
+
+def test_memory_swap_report_checks_each_listed_message(monkeypatch):
+    report = memory_swap_report(3, [1, 6])
+    assert report.passed
+    assert report.parameters == {"n": 3, "messages_checked": 2}
+    assert set(report.measurements.values()) == {0.0}
+
+    # The identity is unitary and self-inverse but leaves the memory blank.
+    monkeypatch.setattr(
+        nogo, "construct_G", lambda mu: np.eye(1 << mu.n, dtype=complex)
+    )
+    report = memory_swap_report(3, [1, 6])
+    assert not report.passed
+    assert report.measurements == {
+        "max_unitarity_deviation": 0.0,
+        "max_self_inverse_deviation": 0.0,
+        "max_action_deviation": 1.0,
+    }
 
 
 # --- witness reports ---------------------------------------------------------------
