@@ -40,13 +40,7 @@ from .statevec import (
     zero_state,
 )
 from .suites import run_suite
-from .swapsynth import (
-    FriendSnapshot,
-    SwapPlan,
-    apply_swap_plan,
-    synthesize_swap,
-    wide_friend_protocol_demo,
-)
+from .swapsynth import FriendSnapshot, SwapPlan, synthesize_swap
 
 __version__ = "0.1.0"
 
@@ -66,7 +60,6 @@ __all__ = [
     "TransferVerdict",
     "apply_circuit",
     "apply_gate",
-    "apply_swap_plan",
     "build_protocol_circuit",
     "checkpoint_reference_state",
     "construct_G",
@@ -87,6 +80,5 @@ __all__ = [
     "verify_amplitude_immutability",
     "verify_transfer",
     "witness_mu_dependence",
-    "wide_friend_protocol_demo",
     "zero_state",
 ]

@@ -338,8 +338,7 @@ def cmd_swap_synth(friend0: str, friend1: str) -> int:
     try:
         plan = synthesize_swap(FriendSnapshot(friend0), FriendSnapshot(friend1))
     except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+        raise _UsageError(str(exc)) from None
     print(f"{plan.operator_string()} (cost {plan.hamming_cost})")
     return 0
 

@@ -15,12 +15,17 @@ paper's circuit is the default, k = 1 and "0" -> "1"):
 
     1. Q preparation realizing amp0|0> + amp1|1>        -> checkpoint eq1
     2. MULTI_X on the 1-bits of friend0 (friend rest, if any), then
-       CNOT Q -> F_i where the snapshots differ (steering) -> checkpoint eq2
+       CNOT Q -> F_i for each position of the swap plan
+       (steering)                                       -> checkpoint eq2
     3. CNOT C -> R          (room records the outcome)  -> checkpoint eq3
     4. ENCODE_MU on M, controlled on C                  -> checkpoint eq4
     5. TRANSVERSAL_CNOT M -> P  (message to paper)      -> checkpoint eq5
     6. TRANSVERSAL_CNOT P -> M  (memory uncompute)      -> checkpoint eq6
     7. MULTI_X on Q, R, steered F_i (partial branch swap) -> checkpoint eq8
+
+The swap plan is synthesize_swap(friend0, friend1): the friend positions
+where the two snapshots differ. Columns 2 and 7 both read it, so the swap
+flips exactly the friend qubits on which the two branches differ.
 
 C, the first friend qubit steered from 0 to 1 (else Q), reads 1 exactly in
 the Q=1 branch; a qubit steered from 1 to 0 would fire in the Q=0 branch.
@@ -64,6 +69,7 @@ from .statevec import (
     protocol_layout,
     zero_state,
 )
+from .swapsynth import FriendSnapshot, synthesize_swap
 
 AMP_TOL = 1e-12
 
@@ -155,16 +161,14 @@ class _SharedParts(NamedTuple):
 def _shared_parts(
     n: int, friend0: str, friend1: str, uncompute_memory: bool, apply_branch_swap: bool
 ) -> _SharedParts:
-    for bits in (friend0, friend1):
-        check_bits(bits, "snapshot")
-    if len(friend0) != len(friend1):
-        raise ValueError(f"snapshot widths differ: {len(friend0)} != {len(friend1)}")
+    plan = synthesize_swap(FriendSnapshot(friend0), FriendSnapshot(friend1))
     layout = protocol_layout(n, friend_width=len(friend0))
     q, r = layout.offset("Q"), layout.offset("R")
     m, p = layout.qubits("M"), layout.qubits("P")
     friend = list(zip(layout.qubits("F"), friend0, friend1))
     rest = tuple(f for f, a, _ in friend if a == "1")
-    steered = tuple(f for f, a, b in friend if a != b)
+    # The plan's positions are 1-based within F.
+    steered = tuple(layout.offset("F") + i - 1 for i in plan.x_positions)
     # A qubit steered from 0 to 1 reads 1 in the Q=1 branch only.
     control = next((f for f, a, b in friend if a < b), q)
     records = [GateOp.multi_x(rest)] if rest else []

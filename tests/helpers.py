@@ -10,13 +10,17 @@ from itertools import product
 
 import numpy as np
 
+from branchcomm.branches import TransferVerdict, evaluate_transfer
+from branchcomm.protocol import Message, ProtocolConfig, build_protocol_circuit
 from branchcomm.statevec import (
     Circuit,
     GateKind,
     GateOp,
     RegisterLayout,
     StateVector,
+    apply_circuit,
     dense_amplitudes,
+    zero_state,
 )
 
 I2 = np.eye(2, dtype=complex)
@@ -185,3 +189,16 @@ def gram_schmidt_G(bits: str) -> np.ndarray:
         basis.append(v)
         matrix += np.outer(v, v.conj())
     return matrix
+
+
+def wide_transfer(friend0: str, friend1: str, message: Message) -> TransferVerdict:
+    """The whole transfer with a friend that rests in snapshot friend0 and is
+    steered to friend1 when Q=1, judged with those snapshots as the two
+    branches' friends."""
+    circuit = build_protocol_circuit(
+        ProtocolConfig(n=message.n), message, friend0, friend1
+    )
+    final, _ = apply_circuit(zero_state(circuit.layout), circuit)
+    return evaluate_transfer(
+        final, message, receiver_friend=friend0, sender_friend=friend1
+    )

@@ -63,6 +63,16 @@ MUTANTS = (
         ),
     ),
     Mutant(
+        "the swap plan lists only rising positions",
+        "branchcomm/swapsynth.py",
+        "if a != b",
+        "if a < b",
+        (
+            "tests/test_swapsynth.py::test_wide_demo_exhaustive_small_widths",
+            "tests/test_swapsynth.py::test_friend_steered_from_one_to_zero_does_not_control",
+        ),
+    ),
+    Mutant(
         "eq8 checkpoint one op early",
         "branchcomm/protocol.py",
         'checkpoints.append((e + len(tail), "eq8"))',
