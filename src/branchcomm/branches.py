@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 from typing import Sequence
 
 from .protocol import Message, ProtocolRun
-from .statevec import RegisterLayout, StateVector, l2_norm
+from .statevec import RegisterLayout, StateVector, _trusted, l2_norm
 
 # Amplitudes below this are numerical dust and are treated as zero.
 ZERO_TOL = 1e-12
@@ -78,7 +78,10 @@ def decompose_by_register(state: StateVector, register: str) -> list[Branch]:
             amplitude = complex(l2_norm(amps))
             local_state = None
             label = layout.value_of(indices[0], register)
-        branches.append(Branch(label, amplitude, local_state, layout, indices, amps))
+        branches.append(_trusted(Branch, {
+            "label": label, "amplitude": amplitude, "local_state": local_state,
+            "layout": layout, "indices": indices, "values": amps,
+        }))
     return branches
 
 
@@ -180,8 +183,13 @@ def evaluate_transfer(
     elif sender_friend is not None and s["F"] != sender_friend:
         reason = f"sender friend '{s['F']}' != expected '{sender_friend}'"
     else:
-        note = "blank message" if message.blank else None
-        return TransferVerdict(True, r["P"], r["M"], s["P"], note=note)
+        # A success carries no failure reason, the one thing the
+        # constructor checks.
+        return _trusted(TransferVerdict, {
+            "success": True, "receiver_paper": r["P"], "receiver_memory": r["M"],
+            "sender_paper": s["P"], "failure_reason": None,
+            "note": "blank message" if message.blank else None,
+        })
     return TransferVerdict(False, r["P"], r["M"], s["P"], failure_reason=reason)
 
 

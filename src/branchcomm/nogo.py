@@ -23,7 +23,8 @@ Three obstructions are implemented and measured here.
 from __future__ import annotations
 
 import itertools
-from collections.abc import Sequence
+import math
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -100,6 +101,15 @@ def _deviation(got: np.ndarray, want: np.ndarray) -> float:
     return float(np.max(np.abs(got - want)))
 
 
+def _fold(pick: Callable[[Sequence[float]], float], *values: float) -> float:
+    """pick (max or min) of the values, or NaN if any of them is NaN.
+
+    max() and min() keep their running value when the next one is NaN, so a
+    G holding a NaN would otherwise read as exact and pass.
+    """
+    return math.nan if any(map(math.isnan, values)) else pick(values)
+
+
 def witness_mu_dependence(n: int) -> ClaimReport:
     """Certify that the memory swap cannot be message-independent at width n.
 
@@ -116,7 +126,7 @@ def witness_mu_dependence(n: int) -> ClaimReport:
     max_unitarity_dev = 0.0
     for value in range(1, 1 << n):
         g = construct_G(Message(format(value, f"0{n}b")))
-        max_unitarity_dev = max(max_unitarity_dev, _deviation(g.conj().T @ g, eye))
+        max_unitarity_dev = _fold(max, max_unitarity_dev, _deviation(g.conj().T @ g, eye))
         images.append((value, g @ eye[0]))
 
     sqrt2 = np.sqrt(2.0)
@@ -127,10 +137,10 @@ def witness_mu_dependence(n: int) -> ClaimReport:
         pairs += 1
         dist = float(np.linalg.norm(image1 - image2))
         direct = float(np.linalg.norm(eye[value1] - eye[value2]))
-        max_distance_dev = max(
-            max_distance_dev, abs(dist - sqrt2), abs(direct - sqrt2)
+        max_distance_dev = _fold(
+            max, max_distance_dev, abs(dist - sqrt2), abs(direct - sqrt2)
         )
-        min_distance = min(min_distance, dist)
+        min_distance = _fold(min, min_distance, dist)
 
     measurements: dict = {
         "messages": len(images),
@@ -159,17 +169,26 @@ def memory_swap_report(n: int, values: Sequence[int]) -> ClaimReport:
 
     Each G must be unitary and self-inverse, and must equal the identity
     with rows 0 and int(mu) exchanged: it swaps the blank memory with the
-    message and fixes every other basis state.
+    message and fixes every other basis state. A width past
+    GATE_MATRIX_QUBIT_LIMIT or a value outside 1..2^n - 1 raises ValueError
+    before any matrix is built.
     """
+    if not 1 <= n <= GATE_MATRIX_QUBIT_LIMIT:
+        raise ValueError(
+            f"memory swaps are dense and limited to n in 1..{GATE_MATRIX_QUBIT_LIMIT}, got {n}"
+        )
     dim = 1 << n
+    for value in values:
+        if not 1 <= value < dim:
+            raise ValueError(f"message value {value} out of range 1..{dim - 1} for n = {n}")
     eye = np.eye(dim, dtype=np.complex128)
     max_unitarity = max_self_inverse = max_action = 0.0
     for value in values:
         g = construct_G(Message(format(value, f"0{n}b")))
         swapped = eye[[value, *range(1, value), 0, *range(value + 1, dim)]]
-        max_unitarity = max(max_unitarity, _deviation(g.conj().T @ g, eye))
-        max_self_inverse = max(max_self_inverse, _deviation(g @ g, eye))
-        max_action = max(max_action, _deviation(g, swapped))
+        max_unitarity = _fold(max, max_unitarity, _deviation(g.conj().T @ g, eye))
+        max_self_inverse = _fold(max, max_self_inverse, _deviation(g @ g, eye))
+        max_action = _fold(max, max_action, _deviation(g, swapped))
     return ClaimReport(
         claim=(
             "each memory swap is unitary, self-inverse, and exchanges the "
@@ -181,7 +200,7 @@ def memory_swap_report(n: int, values: Sequence[int]) -> ClaimReport:
             "max_self_inverse_deviation": max_self_inverse,
             "max_action_deviation": max_action,
         },
-        passed=max(max_unitarity, max_self_inverse, max_action) <= 1e-12,
+        passed=_fold(max, max_unitarity, max_self_inverse, max_action) <= 1e-12,
     )
 
 

@@ -36,15 +36,23 @@ is false; their checkpoint labels disappear with them and the final state is
 then the last recorded one.
 
 Only column 4 depends on mu, and only column 1 on the amplitudes. The other
-columns, an H preparation, the layout and the checkpoint table are built and
-validated once per (n, friend0, friend1, uncompute_memory,
-apply_branch_swap) and shared by every circuit with that key, so the ops
-Theorem 1 requires to be message-independent are the same objects for every
-message. The encoder and an RY preparation are derived per call from
-validated templates (GateOp._derive), which checks only the payload or
-angle. An RY preparation is never cached: ProtocolConfig(amp1=0.0) ==
+columns, an H preparation, the layout and the checkpoint table are built
+once per (n, friend0, friend1, uncompute_memory, apply_branch_swap) and
+checked by one Circuit built over them through its public constructor, then
+shared by every circuit with that key, so the ops Theorem 1 requires to be
+message-independent are the same objects for every message. The encoder
+and an RY preparation are derived per call from validated templates
+(GateOp._derive), which checks only the payload or angle. An RY
+preparation is never cached: ProtocolConfig(amp1=0.0) ==
 ProtocolConfig(amp1=-0.0), yet the first prepares with RY(0.0) and the
 second with RY(-0.0), and the JSON export prints that sign.
+
+So build_protocol_circuit builds its Circuit trusted (statevec._trusted,
+which skips the constructor): each op in it is shared and checked, or
+derived and checked, and its table fits its op count. run_protocol builds
+its ProtocolRun the same way, around a read-only view of the fresh snapshot
+dict apply_circuit returns, which the public constructor would copy.
+Circuit(...) and ProtocolRun(...) keep every check for every other caller.
 """
 
 from __future__ import annotations
@@ -62,8 +70,8 @@ from .statevec import (
     GateOp,
     RegisterLayout,
     StateVector,
-    _checkpoint_table,
     _integer,
+    _trusted,
     apply_circuit,
     check_bits,
     protocol_layout,
@@ -143,10 +151,10 @@ class ProtocolRun:
 
 class _SharedParts(NamedTuple):
     """Everything in the transfer circuit that depends on neither mu nor the
-    amplitudes, validated for the layout once: the layout, the H preparation,
+    amplitudes, checked for the layout once: the layout, the H preparation,
     the RY preparation and the encoder as templates for _derive, the ops
     between the preparation and the encoder, the ops after the encoder, and
-    the checkpoint table."""
+    the checkpoint table, whose span fits the circuit's op count."""
 
     layout: RegisterLayout
     hadamard: GateOp
@@ -182,12 +190,14 @@ def _shared_parts(
     if apply_branch_swap:
         tail.append(GateOp.multi_x((q, r, *steered)))
         checkpoints.append((e + len(tail), "eq8"))
-    preps = (GateOp.h(q), GateOp.ry(0.0, q))
+    hadamard, rotation = GateOp.h(q), GateOp.ry(0.0, q)
     encoder = GateOp.encode("0" * n, m, control=control)
-    for op in (*preps, encoder, *records, *tail):
-        op.validate(layout)
+    rotation.validate(layout)
+    # Every circuit built from these parts has this one's op count and
+    # differs from it only in ops derived from validated templates.
+    checked = Circuit(layout, (hadamard, *records, encoder, *tail), checkpoints)
     return _SharedParts(
-        layout, *preps, encoder, tuple(records), tuple(tail), _checkpoint_table(checkpoints)
+        layout, hadamard, rotation, encoder, tuple(records), tuple(tail), checked.checkpoints
     )
 
 
@@ -216,14 +226,16 @@ def build_protocol_circuit(
     else:
         prep = parts.rotation._derive(2.0 * math.atan2(config.amp1, config.amp0))
     ops = (prep, *parts.records, parts.encoder._derive(payload), *parts.tail)
-    return Circuit(parts.layout, ops, parts.checkpoints)
+    fields = {"layout": parts.layout, "ops": ops, "checkpoints": parts.checkpoints}
+    return _trusted(Circuit, fields)
 
 
 def run_protocol(config: ProtocolConfig, message: Message) -> ProtocolRun:
     """Evolve the all-zero state through the transfer circuit."""
     circuit = build_protocol_circuit(config, message)
     final, snapshots = apply_circuit(zero_state(circuit.layout), circuit)
-    return ProtocolRun(config, snapshots, final)
+    fields = {"config": config, "checkpoints": MappingProxyType(snapshots), "final": final}
+    return _trusted(ProtocolRun, fields)
 
 
 def checkpoint_reference_state(

@@ -47,6 +47,13 @@ protocol builds its two per-run ops that way, from templates it validated
 once. protocol_layout is cached, since a RegisterLayout is immutable, and
 zero_state holds {0: 1+0j}, the all-zero index in every layout.
 
+A value object whose fields have all passed its constructor's checks
+already is built by _trusted, which skips the constructor: _derive's copy,
+and in protocol and branches the protocol's Circuit (from parts one public
+Circuit checked), its ProtocolRun, each Branch and a success verdict.
+_state wraps a kernel's output the same way, writing its three fields
+itself. Every public constructor keeps all its checks.
+
 H and RY mix the two values of one qubit: each (i, i|t) pair with a listed
 entry goes through _mix on Python complex scalars, an unlisted partner read
 as 0j. gate_matrix fills column j with the kernel run on {j: 1+0j}, so its
@@ -64,7 +71,7 @@ import numbers
 import operator
 from dataclasses import dataclass
 from functools import cached_property, lru_cache, partial
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence, TypeVar
 
 import numpy as np
 
@@ -80,6 +87,8 @@ GATE_MATRIX_QUBIT_LIMIT = 12
 # protocol width, 21 qubits, would make the `run` document's text alone
 # several GiB.
 STATE_QUBIT_LIMIT = 20
+
+_T = TypeVar("_T")
 
 
 class GateKind(enum.Enum):
@@ -376,6 +385,22 @@ class StateVector:
         return l2_norm(a for _, a in self.nonzero_items())
 
 
+def _trusted(cls: type[_T], fields: Mapping[str, object]) -> _T:
+    """An instance of cls holding a copy of `fields` as its attributes,
+    built without running cls's constructor.
+
+    Only for fields that have already passed every check that constructor
+    makes, so that it would keep them as they are. The public constructor
+    stays the route for every other caller.
+    """
+    obj = object.__new__(cls)
+    obj.__dict__.update(fields)
+    return obj
+
+
+# _state is StateVector's trusted constructor. It writes its three fields
+# itself rather than through _trusted: a state is wrapped after every
+# checkpoint, and the dict _trusted needs cost about 5% of a protocol run.
 _new_state = partial(object.__new__, StateVector)
 
 
@@ -561,9 +586,8 @@ class GateOp:
         malformed parameter. The copy is compiled afresh for each width in
         this op's record.
         """
-        op = _new_op()
+        op = _trusted(GateOp, self.__dict__)
         fields = op.__dict__
-        fields.update(self.__dict__)
         if self.kind is GateKind.RY:
             fields["angle"] = parameter
         elif self.kind is GateKind.ENCODE_MU:
@@ -573,9 +597,6 @@ class GateOp:
         op._check_parameter()
         fields["_compiled"] = {total: _compile_entry(op, total) for total in self._compiled}
         return op
-
-
-_new_op = partial(object.__new__, GateOp)
 
 
 class _CheckpointTable(tuple):

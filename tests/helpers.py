@@ -202,3 +202,16 @@ def wide_transfer(friend0: str, friend1: str, message: Message) -> TransferVerdi
     return evaluate_transfer(
         final, message, receiver_friend=friend0, sender_friend=friend1
     )
+
+
+def small_protocol_cases() -> list[tuple[ProtocolConfig, Message]]:
+    """(config, message) for every message of width 1 to 3, each with an H
+    and an RY preparation, with and without the memory uncompute and the
+    branch swap."""
+    cases = []
+    for n in (1, 2, 3):
+        for amp0, amp1 in ((math.sqrt(0.5), math.sqrt(0.5)), (0.6, 0.8)):
+            for uncompute, swap in product((True, False), repeat=2):
+                config = ProtocolConfig(n, amp0, amp1, uncompute, swap)
+                cases += [(config, Message(format(v, f"0{n}b"))) for v in range(1 << n)]
+    return cases

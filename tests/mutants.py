@@ -95,11 +95,28 @@ MUTANTS = (
     Mutant(
         "the memory swap's action is checked against the plain identity",
         "branchcomm/nogo.py",
-        "max_action = max(max_action, _deviation(g, swapped))",
-        "max_action = max(max_action, _deviation(g, eye))",
+        "max_action = _fold(max, max_action, _deviation(g, swapped))",
+        "max_action = _fold(max, max_action, _deviation(g, eye))",
         (
             "tests/test_nogo.py::test_memory_swap_report_checks_each_listed_message",
             "tests/test_cli.py::test_verify_single_suites_pass[lemma1]",
+        ),
+    ),
+    Mutant(
+        "the lemma 1 reports fold with plain max() and min(), which drop a NaN",
+        "branchcomm/nogo.py",
+        "return math.nan if any(map(math.isnan, values)) else pick(values)",
+        "return pick(values)",
+        ("tests/test_nogo.py::test_a_nan_in_G_fails_both_lemma1_reports",),
+    ),
+    Mutant(
+        "a protocol run's checkpoints are left writable",
+        "branchcomm/protocol.py",
+        '"checkpoints": MappingProxyType(snapshots)',
+        '"checkpoints": snapshots',
+        (
+            "tests/test_protocol.py::test_trusted_circuits_and_runs_equal_checked_ones",
+            "tests/test_protocol.py::test_run_is_frozen_snapshot",
         ),
     ),
     Mutant(

@@ -12,14 +12,22 @@ from branchcomm.branches import (
     register_component_magnitude,
     verify_transfer,
 )
-from branchcomm.protocol import Message, ProtocolConfig, ProtocolRun, run_protocol
+from branchcomm.protocol import (
+    Message,
+    ProtocolConfig,
+    ProtocolRun,
+    build_protocol_circuit,
+    run_protocol,
+)
 from branchcomm.statevec import (
     StateVector,
+    apply_circuit,
     make_basis_state,
     protocol_layout,
+    zero_state,
 )
 
-from helpers import branch_component, listed_by_bits, random_state
+from helpers import branch_component, listed_by_bits, random_state, small_protocol_cases
 
 SQRT_HALF = math.sqrt(0.5)
 
@@ -293,6 +301,39 @@ def test_verdict_invariant():
             sender_paper="0",
             failure_reason="should not be here",
         )
+
+
+def test_trusted_branches_and_verdicts_equal_checked_ones():
+    """decompose_by_register and a successful evaluate_transfer skip their
+    public constructors; what they return is what those constructors build."""
+    cases = []  # (state, message, friend expectations, transfer completed)
+    for config, message in small_protocol_cases():
+        run = run_protocol(config, message)
+        done = config.uncompute_memory and config.apply_branch_swap
+        cases += [(state, message, {}, False) for state in run.checkpoints.values()]
+        cases.append((run.final, message, {}, done))
+    for message in (Message("0"), Message("1")):
+        circuit = build_protocol_circuit(ProtocolConfig(n=1), message, "01", "10")
+        final, _ = apply_circuit(zero_state(circuit.layout), circuit)
+        friends = {"receiver_friend": "01", "sender_friend": "10"}
+        cases.append((final, message, friends, True))
+
+    for state, message, friends, done in cases:
+        for register in state.layout.names:
+            for branch in decompose_by_register(state, register):
+                checked = Branch(
+                    branch.label, branch.amplitude, branch.local_state,
+                    branch.layout, branch.indices, branch.values,
+                )
+                assert branch == checked and vars(branch) == vars(checked)
+        verdict = evaluate_transfer(state, message, **friends)
+        assert verdict.success or not done
+        if verdict.success:
+            checked = TransferVerdict(
+                True, verdict.receiver_paper, verdict.receiver_memory,
+                verdict.sender_paper, note=verdict.note,
+            )
+            assert verdict == checked and vars(verdict) == vars(checked)
 
 
 def test_branch_type_is_frozen():

@@ -517,10 +517,7 @@ def test_verify_single_suites_pass(capsys, suite):
     counted = out.strip().splitlines()[-1]
     claims = out.count("[PASS]")
     assert f"{claims}/{claims} claims verified" in counted
-    if suite == "theorem1":
-        assert out == THEOREM1_STDOUT
-    elif suite == "lemma1":
-        assert out == LEMMA1_STDOUT
+    assert out == SUITE_STDOUT[suite]
 
 
 THEOREM1_STDOUT = """\
@@ -556,6 +553,33 @@ max_self_inverse_deviation=0.000e+00, max_action_deviation=0.000e+00)
 suite 'lemma1': 7/7 claims verified
 """
 
+COROLLARY1_STDOUT = """\
+[PASS] without the memory uncompute the receiver's memory still reads the message, so \
+the transfer predicate fails (checked=11, min_reference_fidelity=1.000e+00)
+suite 'corollary1': 1/1 claims verified
+"""
+
+# The randomized claim's deltas print as 0.000e+00 whichever preparations
+# numpy draws, so this text is pinned, unlike the digests of
+# tests/test_cli_bytes.py.
+COROLLARY2_STDOUT = """\
+[PASS] the branch swap relabels branches but cannot change the paper-carrying \
+component's amplitude (paper_component_magnitude_pre_swap=8.165e-01, \
+paper_component_magnitude_post_swap=8.165e-01, magnitude_delta=0.000e+00, \
+exchange_delta=0.000e+00)
+[PASS] randomized preparations: the swap exchanges branch weights and never alters \
+the paper component's magnitude (max_magnitude_delta=0.000e+00, \
+max_exchange_delta=0.000e+00, failures=0)
+suite 'corollary2': 2/2 claims verified
+"""
+
+SUITE_STDOUT = {
+    "theorem1": THEOREM1_STDOUT,
+    "corollary1": COROLLARY1_STDOUT,
+    "lemma1": LEMMA1_STDOUT,
+    "corollary2": COROLLARY2_STDOUT,
+}
+
 
 def test_verify_lemma1_fails_on_a_wrong_memory_swap(capsys, monkeypatch):
     def wrong_swap(mu):
@@ -577,8 +601,10 @@ def test_verify_lemma1_fails_on_a_wrong_memory_swap(capsys, monkeypatch):
 def test_verify_all_suites(capsys):
     code, out, _ = run_cli(capsys, "verify")
     assert code == 0
-    assert out.count("[PASS]") == 12
-    assert "suite 'all': 12/12 claims verified" in out
+    claims = [
+        line for text in SUITE_STDOUT.values() for line in text.splitlines()[:-1]
+    ]
+    assert out.splitlines() == [*claims, "suite 'all': 12/12 claims verified"]
 
 
 def test_verify_fail_lists_failing_inputs(capsys, monkeypatch):

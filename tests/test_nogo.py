@@ -166,6 +166,47 @@ def test_memory_swap_report_checks_each_listed_message(monkeypatch):
     }
 
 
+def test_a_nan_in_G_fails_both_lemma1_reports(monkeypatch):
+    def nan_at_origin(mu):
+        g = np.array(construct_G(mu))
+        g[0, 0] = np.nan
+        return g
+
+    monkeypatch.setattr(nogo, "construct_G", nan_at_origin)
+    report = memory_swap_report(3, [1, 6])
+    assert not report.passed
+    assert all(math.isnan(value) for value in report.measurements.values())
+
+    report = witness_mu_dependence(3)
+    assert not report.passed
+    for key in (
+        "max_unitarity_deviation",
+        "max_distance_deviation_from_sqrt2",
+        "min_pairwise_distance",
+    ):
+        assert math.isnan(report.measurements[key]), key
+
+
+@pytest.mark.parametrize(
+    "n, values, text",
+    [
+        (3, [8], r"message value 8 out of range 1\.\.7"),
+        (3, [1, 0], r"message value 0 out of range 1\.\.7"),
+        (GATE_MATRIX_QUBIT_LIMIT + 1, [1], f"limited to n in 1..{GATE_MATRIX_QUBIT_LIMIT}"),
+    ],
+)
+def test_memory_swap_report_refuses_bad_input_before_building_a_matrix(
+    monkeypatch, n, values, text
+):
+    def no_matrix(*args, **kwargs):
+        raise AssertionError("a matrix was built")
+
+    monkeypatch.setattr(nogo.np, "eye", no_matrix)
+    monkeypatch.setattr(nogo, "construct_G", no_matrix)
+    with pytest.raises(ValueError, match=text):
+        memory_swap_report(n, values)
+
+
 # --- witness reports ---------------------------------------------------------------
 
 

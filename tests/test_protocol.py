@@ -30,7 +30,7 @@ from branchcomm.statevec import (
     zero_state,
 )
 
-from helpers import inverse_op, oracle_apply
+from helpers import inverse_op, oracle_apply, small_protocol_cases
 
 SQRT_HALF = math.sqrt(0.5)
 
@@ -470,6 +470,23 @@ def test_mu_independence_report_names_message_dependent_ops(
     report = suites._mu_independence_report()
     assert not report.passed
     assert expected in report.measurements["mismatches"]
+
+
+def test_trusted_circuits_and_runs_equal_checked_ones():
+    """build_protocol_circuit and run_protocol skip their public
+    constructors; what they return is what those constructors build."""
+    wide = [(ProtocolConfig(n=2), m, "01", "10") for m in all_messages(2)]
+    for config, message, *friends in [*small_protocol_cases(), *wide]:
+        circuit = build_protocol_circuit(config, message, *friends)
+        checked = Circuit(circuit.layout, circuit.ops, circuit.checkpoints)
+        assert circuit == checked and vars(circuit) == vars(checked)
+        if friends:
+            continue
+        run = run_protocol(config, message)
+        checked = ProtocolRun(config, run.checkpoints, run.final)
+        assert run == checked and vars(run) == vars(checked)
+        with pytest.raises(TypeError):
+            run.checkpoints["extra"] = run.final
 
 
 def test_run_is_frozen_snapshot():
