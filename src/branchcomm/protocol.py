@@ -35,42 +35,43 @@ is skipped when uncompute_memory is false, column 7 when apply_branch_swap
 is false; their checkpoint labels disappear with them and the final state is
 then the last recorded one.
 
-Only column 4 depends on mu, and only column 1 on the amplitudes. The other
-columns, an H preparation, the layout and the checkpoint table are built
-once per (n, friend0, friend1, uncompute_memory, apply_branch_swap) and
-checked by one Circuit built over them through its public constructor, then
-shared by every circuit with that key, so the ops Theorem 1 requires to be
-message-independent are the same objects for every message. The encoder
-and an RY preparation are derived per call from validated templates
-(GateOp._derive), which checks only the payload or angle. An RY
-preparation is never cached: ProtocolConfig(amp1=0.0) ==
-ProtocolConfig(amp1=-0.0), yet the first prepares with RY(0.0) and the
-second with RY(-0.0), and the JSON export prints that sign.
+Only column 4 depends on mu, and only column 1 on the amplitudes. One
+template Circuit per (n, friend0, friend1, uncompute_memory,
+apply_branch_swap), with an H preparation and a blank encoder, is built
+through the public constructor and cached with a validated RY template and
+the encoder's index. Every circuit with that key is a copy of the template
+with the encoder, and an RY preparation when the amplitudes differ,
+derived from their templates (GateOp._derive, which checks only the
+payload or angle), so the ops Theorem 1 requires to be message-independent
+are the same objects for every message. An RY preparation is never cached:
+ProtocolConfig(amp1=0.0) == ProtocolConfig(amp1=-0.0), yet the first
+prepares with RY(0.0) and the second with RY(-0.0), and the JSON export
+prints that sign.
 
 So build_protocol_circuit builds its Circuit trusted (statevec._trusted,
-which skips the constructor): each op in it is shared and checked, or
-derived and checked, and its table fits its op count. run_protocol builds
-its ProtocolRun the same way, around a read-only view of the fresh snapshot
-dict apply_circuit returns, which the public constructor would copy.
-Circuit(...) and ProtocolRun(...) keep every check for every other caller.
+which skips the constructor), from the template's fields with its own ops:
+each op is the template's or derived and checked, and the template's
+checkpoints fit its op count. run_protocol builds its ProtocolRun the same
+way, around a read-only view of the fresh snapshot dict apply_circuit
+returns, which the public constructor would copy. Circuit(...) and
+ProtocolRun(...) keep every check for every other caller.
 """
 
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 from functools import lru_cache
 from types import MappingProxyType
-from typing import Mapping, NamedTuple
+from typing import Mapping
 
 from .statevec import (
     SQRT_HALF,
     Circuit,
     GateOp,
-    RegisterLayout,
     StateVector,
     _integer,
+    _real,
     _trusted,
     apply_circuit,
     check_bits,
@@ -119,14 +120,11 @@ class ProtocolConfig:
 
     def __post_init__(self) -> None:
         n = _integer(self.n, "message width")
-        if n < 1 or isinstance(self.n, bool):
+        if n < 1:
             raise ValueError(f"message width must be an int >= 1, got {self.n!r}")
         object.__setattr__(self, "n", n)
         for name, amp in (("amp0", self.amp0), ("amp1", self.amp1)):
-            real = type(amp) is float or (
-                isinstance(amp, numbers.Real) and not isinstance(amp, bool)
-            )
-            if not (real and math.isfinite(amp)):
+            if not (_real(amp) and math.isfinite(amp)):
                 raise ValueError(f"{name} must be a finite real, got {amp!r}")
             if amp < 0:
                 raise ValueError(f"{name} must be non-negative, got {amp}")
@@ -149,26 +147,13 @@ class ProtocolRun:
         object.__setattr__(self, "checkpoints", MappingProxyType(dict(self.checkpoints)))
 
 
-class _SharedParts(NamedTuple):
-    """Everything in the transfer circuit that depends on neither mu nor the
-    amplitudes, checked for the layout once: the layout, the H preparation,
-    the RY preparation and the encoder as templates for _derive, the ops
-    between the preparation and the encoder, the ops after the encoder, and
-    the checkpoint table, whose span fits the circuit's op count."""
-
-    layout: RegisterLayout
-    hadamard: GateOp
-    rotation: GateOp
-    encoder: GateOp
-    records: tuple[GateOp, ...]
-    tail: tuple[GateOp, ...]
-    checkpoints: tuple[tuple[int, str], ...]
-
-
 @lru_cache(maxsize=128)
 def _shared_parts(
     n: int, friend0: str, friend1: str, uncompute_memory: bool, apply_branch_swap: bool
-) -> _SharedParts:
+) -> tuple[Circuit, GateOp, int]:
+    """The template circuit, with the H preparation and a blank encoder,
+    checked by the public constructor; the validated RY preparation to
+    derive from; and the encoder's index."""
     plan = synthesize_swap(FriendSnapshot(friend0), FriendSnapshot(friend1))
     layout = protocol_layout(n, friend_width=len(friend0))
     q, r = layout.offset("Q"), layout.offset("R")
@@ -179,26 +164,20 @@ def _shared_parts(
     steered = tuple(layout.offset("F") + i - 1 for i in plan.x_positions)
     # A qubit steered from 0 to 1 reads 1 in the Q=1 branch only.
     control = next((f for f, a, b in friend if a < b), q)
-    records = [GateOp.multi_x(rest)] if rest else []
-    records += [GateOp.cnot(q, f) for f in steered] + [GateOp.cnot(control, r)]
-    e = 1 + len(records)  # the encoder's index
-    tail = [GateOp.transversal_cnot(m, p)]
+    ops = [GateOp.h(q)] + ([GateOp.multi_x(rest)] if rest else [])
+    ops += [GateOp.cnot(q, f) for f in steered] + [GateOp.cnot(control, r)]
+    e = len(ops)  # the encoder's index
+    ops += [GateOp.encode("0" * n, m, control=control), GateOp.transversal_cnot(m, p)]
     checkpoints = [(0, "eq1"), (e - 2, "eq2"), (e - 1, "eq3"), (e, "eq4"), (e + 1, "eq5")]
     if uncompute_memory:
-        tail.append(GateOp.transversal_cnot(p, m))
-        checkpoints.append((e + len(tail), "eq6"))
+        ops.append(GateOp.transversal_cnot(p, m))
+        checkpoints.append((len(ops) - 1, "eq6"))
     if apply_branch_swap:
-        tail.append(GateOp.multi_x((q, r, *steered)))
-        checkpoints.append((e + len(tail), "eq8"))
-    hadamard, rotation = GateOp.h(q), GateOp.ry(0.0, q)
-    encoder = GateOp.encode("0" * n, m, control=control)
+        ops.append(GateOp.multi_x((q, r, *steered)))
+        checkpoints.append((len(ops) - 1, "eq8"))
+    rotation = GateOp.ry(0.0, q)
     rotation.validate(layout)
-    # Every circuit built from these parts has this one's op count and
-    # differs from it only in ops derived from validated templates.
-    checked = Circuit(layout, (hadamard, *records, encoder, *tail), checkpoints)
-    return _SharedParts(
-        layout, hadamard, rotation, encoder, tuple(records), tuple(tail), checked.checkpoints
-    )
+    return Circuit(layout, ops, checkpoints), rotation, e
 
 
 def build_protocol_circuit(
@@ -210,24 +189,22 @@ def build_protocol_circuit(
     The ENCODE_MU payload is taken from `message`; with no message given the
     payload is blank, which keeps the circuit shape while writing nothing.
     The friend rests in `friend0` and is steered to `friend1` when Q=1.
-    Only an RY preparation and the encoder are built per call, each derived
-    from its validated template.
+    The circuit is the cached template's, with an RY preparation and the
+    encoder derived per call from their validated templates.
     """
     n = config.n
     if message is not None and message.n != n:
         raise ValueError(f"message width {message.n} != configured width {n}")
     payload = message.bits if message is not None else "0" * n
 
-    parts = _shared_parts(
+    template, rotation, e = _shared_parts(
         n, friend0, friend1, bool(config.uncompute_memory), bool(config.apply_branch_swap)
     )
-    if abs(config.amp0 - config.amp1) <= AMP_TOL:
-        prep = parts.hadamard
-    else:
-        prep = parts.rotation._derive(2.0 * math.atan2(config.amp1, config.amp0))
-    ops = (prep, *parts.records, parts.encoder._derive(payload), *parts.tail)
-    fields = {"layout": parts.layout, "ops": ops, "checkpoints": parts.checkpoints}
-    return _trusted(Circuit, fields)
+    ops = list(template.ops)
+    if abs(config.amp0 - config.amp1) > AMP_TOL:
+        ops[0] = rotation._derive(2.0 * math.atan2(config.amp1, config.amp0))
+    ops[e] = ops[e]._derive(payload)
+    return _trusted(Circuit, {**template.__dict__, "ops": tuple(ops)})
 
 
 def run_protocol(config: ProtocolConfig, message: Message) -> ProtocolRun:

@@ -12,9 +12,9 @@ index to amplitude, which apply_gate and apply_circuit evolve, so a circuit
 started from a basis state costs time and memory in its support size, not
 in 2^n. make_basis_state, zero_state and the protocol's closed-form
 reference states list their support directly; an amplitude array given by
-the caller lists every entry whose float64 bit pattern is nonzero and is
-kept as the state's `.amplitudes`. Any other state builds that array on
-first access, up to STATE_QUBIT_LIMIT qubits.
+the caller lists every entry whose float64 bit pattern is nonzero, and is
+not kept. Every state builds its `.amplitudes` from its support on first
+access, up to STATE_QUBIT_LIMIT qubits.
 
 Five gate kinds (X, MULTI_X, CNOT, ENCODE_MU, TRANSVERSAL_CNOT) only permute
 basis states, and are described by the op's own fields. X, MULTI_X, CNOT and
@@ -37,22 +37,21 @@ record per count, filled by GateOp._compile only once _check has passed:
 its kernel, built by _compile_entry, the one place where a gate kind
 becomes code. validate, apply_gate and gate_matrix go through _compile.
 A Circuit compiles each op for its width, checking only the ops with no
-entry yet, so apply_circuit reads its kernels from the records. Its
-checkpoint table is normalised once, with the labels to snapshot after each
-op, and a Circuit built over another's table reuses it, checking only its
-indices against its own op count. GateOp._derive copies a validated
-ENCODE_MU or RY op with a new payload or angle, reruns only the checks that
-read that field and compiles the copy for its template's counts: the
-protocol builds its two per-run ops that way, from templates it validated
-once. protocol_layout is cached, since a RegisterLayout is immutable, and
-zero_state holds {0: 1+0j}, the all-zero index in every layout.
+entry yet, and records the labels to snapshot after each op, so
+apply_circuit reads its kernels and labels from those records.
+GateOp._derive copies a validated ENCODE_MU or RY op with a new payload or
+angle, reruns only the checks that read that field and compiles the copy
+for its template's counts: the protocol builds its two per-run ops that
+way, from templates it validated once. protocol_layout is cached, since a
+RegisterLayout is immutable, and zero_state holds {0: 1+0j}, the all-zero
+index in every layout.
 
 A value object whose fields have all passed its constructor's checks
 already is built by _trusted, which skips the constructor: _derive's copy,
-and in protocol and branches the protocol's Circuit (from parts one public
-Circuit checked), its ProtocolRun, each Branch and a success verdict.
-_state wraps a kernel's output the same way, writing its three fields
-itself. Every public constructor keeps all its checks.
+and in protocol and branches the protocol's Circuit (a checked template's
+fields with its per-run ops swapped in), its ProtocolRun, each Branch and
+a success verdict. _state wraps a kernel's output the same way, writing its
+three fields itself. Every public constructor keeps all its checks.
 
 H and RY mix the two values of one qubit: each (i, i|t) pair with a listed
 entry goes through _mix on Python complex scalars, an unlisted partner read
@@ -109,11 +108,21 @@ def check_bits(bits: str, what: str) -> str:
 
 
 def _integer(value: object, what: str) -> int:
-    """value as an int if it is integral (numpy integers too), else ValueError."""
-    try:
-        return operator.index(value)
-    except TypeError:
-        raise ValueError(f"{what} must be an integer, got {value!r}") from None
+    """value as an int if it is integral (numpy integers too) and not a bool,
+    else ValueError."""
+    if not isinstance(value, bool):
+        try:
+            return operator.index(value)
+        except TypeError:
+            pass
+    raise ValueError(f"{what} must be an integer, got {value!r}")
+
+
+def _real(value: object) -> bool:
+    """True for a float or another real number, numpy's included, but not a bool."""
+    return type(value) is float or (
+        isinstance(value, numbers.Real) and not isinstance(value, bool)
+    )
 
 
 @dataclass(frozen=True)
@@ -283,9 +292,9 @@ class StateVector:
     Built from its support, `StateVector(layout, support={index: amplitude})`,
     with every index not listed holding zero, or from a dense amplitude
     array, `StateVector(layout, amplitudes)`, which lists every entry whose
-    float64 bit pattern is nonzero (so a -0.0 is listed) and keeps the
-    validated read-only array as `.amplitudes`. Otherwise `.amplitudes` is
-    built on first access (see STATE_QUBIT_LIMIT). Data from a caller is
+    float64 bit pattern is nonzero (so a -0.0 is listed) and keeps no array.
+    `.amplitudes` is built from the support on first access, so an array
+    past STATE_QUBIT_LIMIT qubits is refused up front. Data from a caller is
     validated (length or index range, finite values); a kernel's output,
     wrapped by _state, is not scanned again.
     """
@@ -301,7 +310,7 @@ class StateVector:
             raise ValueError("give exactly one of amplitudes and support")
         fields = self.__dict__  # __setattr__ refuses every assignment
         fields["layout"] = layout
-        fields["_dense"] = amplitudes
+        fields["_dense"] = amplitudes  # read by __post_init__, then dropped
         fields["_support"] = support
         self.__post_init__()
 
@@ -327,6 +336,7 @@ class StateVector:
                 support[index] = amp
             object.__setattr__(self, "_support", support)
             return
+        check_dense_limit(self.layout)
         arr = np.asarray(self._dense, dtype=np.complex128)
         if arr.ndim != 1 or arr.shape[0] != self.layout.dim:
             raise ValueError(
@@ -334,13 +344,9 @@ class StateVector:
             )
         if not np.all(np.isfinite(arr)):
             raise ValueError("amplitudes must be finite")
-        if arr is self._dense and arr.flags.writeable:
-            arr = arr.copy()
-        if arr.flags.writeable:
-            arr.setflags(write=False)
         bits = np.ascontiguousarray(arr).view(np.uint64)
         idx = np.flatnonzero(bits[0::2] | bits[1::2])
-        object.__setattr__(self, "_dense", arr)
+        object.__setattr__(self, "_dense", None)
         object.__setattr__(self, "_support", dict(zip(idx.tolist(), arr[idx].tolist())))
 
     def __setattr__(self, name: str, value: object) -> None:
@@ -422,11 +428,6 @@ def make_basis_state(layout: RegisterLayout, assignment: Mapping[str, str]) -> S
 def zero_state(layout: RegisterLayout) -> StateVector:
     """All-registers-zero basis state: index 0 in every layout."""
     return _state(layout, {0: 1 + 0j})
-
-
-def _real(value: object) -> bool:
-    """True for a float or another real number, numpy's included."""
-    return type(value) is float or isinstance(value, numbers.Real)
 
 
 def _qubits(qubits: Iterable[int]) -> tuple[int, ...]:
@@ -599,37 +600,6 @@ class GateOp:
         return op
 
 
-class _CheckpointTable(tuple):
-    """A circuit's checkpoints as (int, str) pairs, normalised once.
-
-    Built only by _checkpoint_table, which also records what every circuit
-    sharing the table needs: the labels to snapshot after each op index, in
-    table order (labels_at), the lowest and highest op index, and whether a
-    label repeats. The range of the indices depends on the circuit's op
-    count and is checked by each Circuit.
-    """
-
-    labels_at: dict[int, tuple[str, ...]]
-    span: tuple[int, int]
-    repeats: bool
-
-
-def _checkpoint_table(checkpoints: Iterable[tuple[int, str]]) -> _CheckpointTable:
-    """checkpoints as a _CheckpointTable; one that already is so is returned."""
-    if type(checkpoints) is _CheckpointTable:
-        return checkpoints
-    table = _CheckpointTable(
-        (_integer(i, "checkpoint op index"), str(l)) for i, l in checkpoints
-    )
-    labels_at: dict[int, tuple[str, ...]] = {}
-    for op_index, label in table:
-        labels_at[op_index] = labels_at.get(op_index, ()) + (label,)
-    table.labels_at = labels_at
-    table.span = (min(labels_at, default=0), max(labels_at, default=-1))
-    table.repeats = len({label for _, label in table}) != len(table)
-    return table
-
-
 @dataclass(frozen=True)
 class Circuit:
     """Validated gate sequence with labeled checkpoints.
@@ -637,8 +607,9 @@ class Circuit:
     A checkpoint (op_index, label) snapshots the state right after
     ops[op_index] has been applied. Construction compiles each op for the
     layout's width (GateOp._compile, which checks only an op not yet
-    compiled for it) and checks the checkpoint table; a table taken from
-    another Circuit is not normalised again.
+    compiled for it), normalises the checkpoints to (int, str) pairs, checks
+    them and records the labels to snapshot after each op index, in table
+    order, for apply_circuit. That record takes no part in ==, hash or repr.
     """
 
     layout: RegisterLayout
@@ -647,21 +618,28 @@ class Circuit:
 
     def __post_init__(self) -> None:
         ops = tuple(self.ops)
-        table = _checkpoint_table(self.checkpoints)
+        table = tuple((_integer(i, "checkpoint op index"), str(l)) for i, l in self.checkpoints)
         object.__setattr__(self, "ops", ops)
         object.__setattr__(self, "checkpoints", table)
         total = self.layout.total_qubits
         for op in ops:
             op._compile(total)
-        if table.repeats:
-            raise ValueError(f"duplicate checkpoint labels in {[l for _, l in table]}")
-        first, last = table.span
-        if first < 0 or last >= len(ops):
-            op_index, label = next(p for p in table if not 0 <= p[0] < len(ops))
+        labels_at: dict[int, tuple[str, ...]] = {}
+        strays = []
+        for op_index, label in table:
+            labels_at[op_index] = labels_at.get(op_index, ()) + (label,)
+            if not 0 <= op_index < len(ops):
+                strays.append((op_index, label))
+        labels = [label for _, label in table]
+        if len(set(labels)) != len(labels):
+            raise ValueError(f"duplicate checkpoint labels in {labels}")
+        if strays:
+            op_index, label = strays[0]
             raise ValueError(
                 f"checkpoint {label!r} attached to op {op_index}, "
                 f"but circuit has {len(ops)} ops"
             )
+        object.__setattr__(self, "_labels_at", labels_at)
 
     @property
     def gate_count(self) -> int:
@@ -811,7 +789,7 @@ def apply_circuit(
         raise ValueError("circuit layout does not match state layout")
     if not circuit.ops:
         return state, {}
-    labels_at = circuit.checkpoints.labels_at
+    labels_at = circuit._labels_at
     total, held = layout.total_qubits, state._support
     # The Circuit compiled each of its ops for its width when it was made.
     kernels = (op._compiled[total] for op in circuit.ops)

@@ -55,8 +55,8 @@ MUTANTS = (
     Mutant(
         "branch swap leaves the steered friend qubits alone",
         "branchcomm/protocol.py",
-        "tail.append(GateOp.multi_x((q, r, *steered)))",
-        "tail.append(GateOp.multi_x((q, r)))",
+        "ops.append(GateOp.multi_x((q, r, *steered)))",
+        "ops.append(GateOp.multi_x((q, r)))",
         (
             "tests/test_swapsynth.py::test_wide_demo_ten_bit_snapshots",
             "tests/test_swapsynth.py::test_wide_circuit_control_rule_and_swap_follow_the_plan",
@@ -75,11 +75,21 @@ MUTANTS = (
     Mutant(
         "eq8 checkpoint one op early",
         "branchcomm/protocol.py",
-        'checkpoints.append((e + len(tail), "eq8"))',
-        'checkpoints.append((e + len(tail) - 1, "eq8"))',
+        'checkpoints.append((len(ops) - 1, "eq8"))',
+        'checkpoints.append((len(ops) - 2, "eq8"))',
         (
             "tests/test_protocol.py::test_default_circuit_structure_n1",
             "tests/test_protocol.py::test_variant_circuits_drop_their_columns",
+        ),
+    ),
+    Mutant(
+        "skewed amplitudes keep the template's H preparation",
+        "branchcomm/protocol.py",
+        "ops[0] = rotation._derive(2.0 * math.atan2(config.amp1, config.amp0))",
+        "pass",
+        (
+            "tests/test_protocol.py::test_preparation_gate_matches_amplitudes",
+            "tests/test_protocol.py::test_negative_zero_amplitude_keeps_its_sign",
         ),
     ),
     Mutant(
@@ -172,6 +182,13 @@ MUTANTS = (
             "tests/test_qasm.py::test_default_run_emits_the_enumerated_gate_list",
             "tests/test_qasm.py::test_hand_built_circuit_keeps_target_order",
         ),
+    ),
+    Mutant(
+        "a checkpoint may follow the op one past the circuit's last",
+        "branchcomm/statevec.py",
+        "if not 0 <= op_index < len(ops):",
+        "if not 0 <= op_index <= len(ops):",
+        ("tests/test_statevec.py::test_snapshots_follow_op_order_then_table_order",),
     ),
     Mutant(
         "Circuit marks an op it has not seen as valid without checking it",

@@ -24,6 +24,7 @@ from branchcomm.statevec import (
     zero_state,
     _mask,
 )
+from branchcomm.protocol import ProtocolConfig
 
 from helpers import (
     H2,
@@ -222,6 +223,27 @@ def test_gateop_rejects_non_integral_qubits():
     assert all(type(q) is int for q in op.qubits)
 
 
+@pytest.mark.parametrize(
+    "build, text",
+    [
+        (lambda: GateOp.ry(True, 0).validate(QRF), "RY angle must be a finite real, got True"),
+        (lambda: Circuit(QRF, (GateOp(GateKind.RY, (0,), angle=True),)),
+         "RY angle must be a finite real, got True"),
+        (lambda: ProtocolConfig(amp0=True, amp1=0.0), "amp0 must be a finite real, got True"),
+        (lambda: ProtocolConfig(n=True), "message width must be an integer, got True"),
+        (lambda: GateOp.cnot(0, True), "qubit must be an integer, got True"),
+        (lambda: RegisterLayout((("q", True),)), "register 'q' width must be an integer, got True"),
+        (lambda: Circuit(QRF, (GateOp.x(0),), ((True, "a"),)),
+         "checkpoint op index must be an integer, got True"),
+    ],
+    ids=["ry", "ry-op", "amp0", "n", "qubit", "register-width", "checkpoint-index"],
+)
+def test_a_bool_is_refused_where_a_number_is_expected(build, text):
+    """bool is an int subclass, so int and float checks must refuse it by name."""
+    with pytest.raises(ValueError, match=re.escape(text)):
+        build()
+
+
 @pytest.mark.parametrize("angle", [math.nan, math.inf, -math.inf, "x", 1j])
 def test_ry_angle_that_is_not_a_finite_real_is_refused(angle):
     """Refused with a text naming the angle, on every route to a kernel."""
@@ -377,7 +399,7 @@ def test_snapshots_follow_op_order_then_table_order():
 
     # A second circuit over the same table checks it against its own ops.
     again = Circuit(QRF, (GateOp.x(2), GateOp.x(1), GateOp.x(0)), circuit.checkpoints)
-    assert again.checkpoints is circuit.checkpoints
+    assert again.checkpoints == circuit.checkpoints
     assert list(apply_circuit(zero_state(QRF), again)[1]) == ["a2", "a1", "b", "c"]
     with pytest.raises(ValueError, match="checkpoint 'c' attached to op 2, but circuit has 2 ops"):
         Circuit(QRF, ops[:2], circuit.checkpoints)
@@ -823,6 +845,9 @@ def test_support_form_validation_and_dense_limit():
     assert abs(held.norm() - 1.0) <= 1e-12
     with pytest.raises(ValueError, match=f"{STATE_QUBIT_LIMIT + 1} qubits"):
         held.amplitudes
+    # an array too wide to rebuild as .amplitudes is refused before it is read
+    with pytest.raises(ValueError, match=f"{STATE_QUBIT_LIMIT + 1} qubits"):
+        StateVector(wide, np.zeros(1))
 
 
 def test_support_rejects_non_integral_indices():
@@ -871,9 +896,10 @@ def test_kernel_outputs_are_not_scanned_again(monkeypatch):
 def test_listed_items_keep_signed_zeros():
     support = {0: -0.0, 2: complex(-0.0, -0.0), 5: 0j, 7: 1e-300j}
     held = StateVector(QRF, support=support)
-    dense = StateVector(QRF, held.amplitudes)
-    # a read-only input is kept as the state's array, not copied
-    assert dense.amplitudes is held.amplitudes
+    array = held.amplitudes.copy()
+    dense = StateVector(QRF, array)
+    array[:] = 9  # the caller's array is not kept
+    assert dense.amplitudes.tobytes() == held.amplitudes.tobytes()
     assert held.listed_items() == list(support.items())
     # +0j at index 5 has an all-zero bit pattern, so only the array-built state drops it
     listed = dense.listed_items()
