@@ -367,12 +367,10 @@ def cmd_export(args: argparse.Namespace) -> int:
     circuit = build_protocol_circuit(config, message)
     if args.format == "qasm":
         if any(op.kind is GateKind.RY for op in circuit.ops):
-            print(
-                "error: rotation preparation (unequal amplitudes) has no "
-                "x/h/cx representation; export with --format json instead",
-                file=sys.stderr,
+            raise _UsageError(
+                "rotation preparation (unequal amplitudes) has no "
+                "x/h/cx representation; export with --format json instead"
             )
-            return 1
         text = to_qasm(circuit, measure=args.measure)
     else:
         text = json.dumps(circuit_document(circuit, message), indent=2)

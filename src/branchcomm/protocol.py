@@ -37,24 +37,21 @@ then the last recorded one.
 
 Only column 4 depends on mu, and only column 1 on the amplitudes. One
 template Circuit per (n, friend0, friend1, uncompute_memory,
-apply_branch_swap), with an H preparation and a blank encoder, is built
-through the public constructor and cached with a validated RY template and
-the encoder's index. Every circuit with that key is a copy of the template
-with the encoder, and an RY preparation when the amplitudes differ,
-derived from their templates (GateOp._derive, which checks only the
-payload or angle), so the ops Theorem 1 requires to be message-independent
-are the same objects for every message. An RY preparation is never cached:
-ProtocolConfig(amp1=0.0) == ProtocolConfig(amp1=-0.0), yet the first
-prepares with RY(0.0) and the second with RY(-0.0), and the JSON export
-prints that sign.
+apply_branch_swap, rotated), with a blank encoder and an H preparation, or
+RY(0.0) when the amplitudes differ (rotated), is built through the public
+constructor and cached with the encoder's index. Every circuit with that
+key is template._derive(...) (statevec.Circuit._derive): a copy with the
+encoder's payload, and a rotated preparation's angle, replaced and only
+those checked and compiled, so the ops Theorem 1 requires to be
+message-independent, and their kernels, are the same objects for every
+message. The RY angle is never cached: ProtocolConfig(amp1=0.0) ==
+ProtocolConfig(amp1=-0.0), yet the first prepares with RY(0.0) and the
+second with RY(-0.0), and the JSON export prints that sign.
 
-So build_protocol_circuit builds its Circuit trusted (statevec._trusted,
-which skips the constructor), from the template's fields with its own ops:
-each op is the template's or derived and checked, and the template's
-checkpoints fit its op count. run_protocol builds its ProtocolRun the same
-way, around a read-only view of the fresh snapshot dict apply_circuit
-returns, which the public constructor would copy. Circuit(...) and
-ProtocolRun(...) keep every check for every other caller.
+run_protocol builds its ProtocolRun trusted (statevec._trusted, which skips
+the constructor), around a read-only view of the fresh snapshot dict
+apply_circuit returns, which the public constructor would copy.
+Circuit(...) and ProtocolRun(...) keep every check for every other caller.
 """
 
 from __future__ import annotations
@@ -149,11 +146,12 @@ class ProtocolRun:
 
 @lru_cache(maxsize=128)
 def _shared_parts(
-    n: int, friend0: str, friend1: str, uncompute_memory: bool, apply_branch_swap: bool
-) -> tuple[Circuit, GateOp, int]:
-    """The template circuit, with the H preparation and a blank encoder,
-    checked by the public constructor; the validated RY preparation to
-    derive from; and the encoder's index."""
+    n: int, friend0: str, friend1: str, uncompute_memory: bool, apply_branch_swap: bool,
+    rotated: bool,
+) -> tuple[Circuit, int]:
+    """The template circuit, checked by the public constructor, with a blank
+    encoder and an H preparation, or RY(0.0) when `rotated`; and the
+    encoder's index."""
     plan = synthesize_swap(FriendSnapshot(friend0), FriendSnapshot(friend1))
     layout = protocol_layout(n, friend_width=len(friend0))
     q, r = layout.offset("Q"), layout.offset("R")
@@ -164,7 +162,8 @@ def _shared_parts(
     steered = tuple(layout.offset("F") + i - 1 for i in plan.x_positions)
     # A qubit steered from 0 to 1 reads 1 in the Q=1 branch only.
     control = next((f for f, a, b in friend if a < b), q)
-    ops = [GateOp.h(q)] + ([GateOp.multi_x(rest)] if rest else [])
+    ops = [GateOp.ry(0.0, q) if rotated else GateOp.h(q)]
+    ops += [GateOp.multi_x(rest)] if rest else []
     ops += [GateOp.cnot(q, f) for f in steered] + [GateOp.cnot(control, r)]
     e = len(ops)  # the encoder's index
     ops += [GateOp.encode("0" * n, m, control=control), GateOp.transversal_cnot(m, p)]
@@ -175,9 +174,7 @@ def _shared_parts(
     if apply_branch_swap:
         ops.append(GateOp.multi_x((q, r, *steered)))
         checkpoints.append((len(ops) - 1, "eq8"))
-    rotation = GateOp.ry(0.0, q)
-    rotation.validate(layout)
-    return Circuit(layout, ops, checkpoints), rotation, e
+    return Circuit(layout, ops, checkpoints), e
 
 
 def build_protocol_circuit(
@@ -189,22 +186,23 @@ def build_protocol_circuit(
     The ENCODE_MU payload is taken from `message`; with no message given the
     payload is blank, which keeps the circuit shape while writing nothing.
     The friend rests in `friend0` and is steered to `friend1` when Q=1.
-    The circuit is the cached template's, with an RY preparation and the
-    encoder derived per call from their validated templates.
+    The circuit is derived from the cached template (Circuit._derive):
+    the encoder, and an RY preparation's angle, are set per call.
     """
     n = config.n
     if message is not None and message.n != n:
         raise ValueError(f"message width {message.n} != configured width {n}")
     payload = message.bits if message is not None else "0" * n
 
-    template, rotation, e = _shared_parts(
-        n, friend0, friend1, bool(config.uncompute_memory), bool(config.apply_branch_swap)
+    rotated = abs(config.amp0 - config.amp1) > AMP_TOL
+    template, e = _shared_parts(
+        n, friend0, friend1, bool(config.uncompute_memory), bool(config.apply_branch_swap),
+        rotated,
     )
-    ops = list(template.ops)
-    if abs(config.amp0 - config.amp1) > AMP_TOL:
-        ops[0] = rotation._derive(2.0 * math.atan2(config.amp1, config.amp0))
-    ops[e] = ops[e]._derive(payload)
-    return _trusted(Circuit, {**template.__dict__, "ops": tuple(ops)})
+    parameters: dict[int, str | float] = {e: payload}
+    if rotated:
+        parameters[0] = 2.0 * math.atan2(config.amp1, config.amp0)
+    return template._derive(parameters)
 
 
 def run_protocol(config: ProtocolConfig, message: Message) -> ProtocolRun:

@@ -31,27 +31,25 @@ base-2 string, in time linear in the layout's width, so the protocol's
 circuit is built in time and memory linear in the message width. The QASM
 emitter reads the same fields.
 
-What repeats from run to run is validated and compiled once. An op depends
-on a layout only through its total qubit count, so each GateOp keeps one
-record per count, filled by GateOp._compile only once _check has passed:
-its kernel, built by _compile_entry, the one place where a gate kind
-becomes code. validate, apply_gate and gate_matrix go through _compile.
-A Circuit compiles each op for its width, checking only the ops with no
-entry yet, and records the labels to snapshot after each op, so
-apply_circuit reads its kernels and labels from those records.
-GateOp._derive copies a validated ENCODE_MU or RY op with a new payload or
-angle, reruns only the checks that read that field and compiles the copy
-for its template's counts: the protocol builds its two per-run ops that
-way, from templates it validated once. protocol_layout is cached, since a
-RegisterLayout is immutable, and zero_state holds {0: 1+0j}, the all-zero
-index in every layout.
+What repeats from run to run is checked and compiled once. A GateOp is a
+plain value of its five fields. A Circuit checks each op for its width
+(GateOp._check) and keeps each op's kernel, built by _compile_entry, the
+one place where a gate kind becomes code, with the labels to snapshot after
+each op; apply_circuit reads both, and apply_gate and gate_matrix take the
+kernel of a one-op Circuit. Circuit._derive copies a circuit with new
+ENCODE_MU payloads or RY angles: GateOp._derive reruns only the checks
+that read that field, and only the replaced ops are compiled, so every
+other op and kernel is the template's own. The protocol builds each run's
+circuit that way from a template it checked once. protocol_layout is
+cached, since a RegisterLayout is immutable, and zero_state holds
+{0: 1+0j}, the all-zero index in every layout.
 
 A value object whose fields have all passed its constructor's checks
-already is built by _trusted, which skips the constructor: _derive's copy,
-and in protocol and branches the protocol's Circuit (a checked template's
-fields with its per-run ops swapped in), its ProtocolRun, each Branch and
-a success verdict. _state wraps a kernel's output the same way, writing its
-three fields itself. Every public constructor keeps all its checks.
+already is built by _trusted, which skips the constructor: the copies
+GateOp._derive and Circuit._derive make, and in protocol and branches a
+ProtocolRun, each Branch and a success verdict. _state wraps a kernel's
+output the same way, writing its three fields itself. Every public
+constructor keeps all its checks.
 
 H and RY mix the two values of one qubit: each (i, i|t) pair with a listed
 entry goes through _mix on Python complex scalars, an unlisted partner read
@@ -441,11 +439,8 @@ class GateOp:
 
     Payload is the bit-string written by ENCODE_MU; angle parameterizes RY.
     Global qubit positions follow the layout convention (0 = most significant).
-
-    An op depends on a layout only through its total qubit count, so it
-    keeps one compiled record per count (_compile), stored only once the
-    op has passed its checks for that count; a rejected op is not recorded
-    and raises every time. The record takes no part in ==, hash or repr.
+    A plain value holding just these five fields: it is checked for a width
+    (_check) and compiled by the Circuit that runs it.
     """
 
     kind: GateKind
@@ -457,7 +452,6 @@ class GateOp:
     def __post_init__(self) -> None:
         object.__setattr__(self, "targets", _qubits(self.targets))
         object.__setattr__(self, "controls", _qubits(self.controls))
-        object.__setattr__(self, "_compiled", {})
 
     # -- constructors ------------------------------------------------------
 
@@ -500,9 +494,6 @@ class GateOp:
     def qubits(self) -> tuple[int, ...]:
         return self.targets + self.controls
 
-    def validate(self, layout: RegisterLayout) -> None:
-        self._compile(layout.total_qubits)
-
     @property
     def flipped(self) -> Sequence[int]:
         """The targets flipped once every control is set, in target order:
@@ -511,18 +502,6 @@ class GateOp:
         if self.kind is GateKind.ENCODE_MU:
             return [t for bit, t in zip(self.payload, self.targets) if bit == "1"]
         return self.targets
-
-    def _compile(self, total: int) -> _Kernel:
-        """This op's kernel on `total` qubits.
-
-        Built on the first call for a count and stored only if _check
-        passes, so every later call for that count is one dict lookup.
-        """
-        entry = self._compiled.get(total)
-        if entry is None:
-            self._check(total)
-            entry = self._compiled[total] = _compile_entry(self, total)
-        return entry
 
     def _check(self, total: int) -> None:
         """Raise ValueError if the op is malformed on `total` qubits.
@@ -579,13 +558,11 @@ class GateOp:
 
     def _derive(self, parameter: str | float) -> "GateOp":
         """A copy of this ENCODE_MU op with payload `parameter`, or of this
-        RY op with angle `parameter`, valid for every width this op passed
-        validate for.
+        RY op with angle `parameter`, valid on every width this op is valid on.
 
         The copy differs from this op in that one field alone, so of _check
         it reruns only _check_parameter, which raises _check's text for a
-        malformed parameter. The copy is compiled afresh for each width in
-        this op's record.
+        malformed parameter.
         """
         op = _trusted(GateOp, self.__dict__)
         fields = op.__dict__
@@ -596,7 +573,6 @@ class GateOp:
         else:
             raise ValueError(f"{self.kind.value} has no parameter to replace")
         op._check_parameter()
-        fields["_compiled"] = {total: _compile_entry(op, total) for total in self._compiled}
         return op
 
 
@@ -605,11 +581,11 @@ class Circuit:
     """Validated gate sequence with labeled checkpoints.
 
     A checkpoint (op_index, label) snapshots the state right after
-    ops[op_index] has been applied. Construction compiles each op for the
-    layout's width (GateOp._compile, which checks only an op not yet
-    compiled for it), normalises the checkpoints to (int, str) pairs, checks
-    them and records the labels to snapshot after each op index, in table
-    order, for apply_circuit. That record takes no part in ==, hash or repr.
+    ops[op_index] has been applied. Construction checks each op for the
+    layout's width (GateOp._check), normalises the checkpoints to (int, str)
+    pairs and checks them. For apply_circuit it then records the labels to
+    snapshot after each op index, in table order, and the kernel of each op
+    (_compile_entry). Neither record takes part in ==, hash or repr.
     """
 
     layout: RegisterLayout
@@ -623,7 +599,7 @@ class Circuit:
         object.__setattr__(self, "checkpoints", table)
         total = self.layout.total_qubits
         for op in ops:
-            op._compile(total)
+            op._check(total)
         labels_at: dict[int, tuple[str, ...]] = {}
         strays = []
         for op_index, label in table:
@@ -640,6 +616,21 @@ class Circuit:
                 f"but circuit has {len(ops)} ops"
             )
         object.__setattr__(self, "_labels_at", labels_at)
+        object.__setattr__(self, "_kernels", tuple(_compile_entry(op, total) for op in ops))
+
+    def _derive(self, parameters: Mapping[int, str | float]) -> "Circuit":
+        """A copy of this circuit with ops[i] replaced by
+        ops[i]._derive(parameter) for each i: parameter in `parameters`.
+
+        Only the replaced ops are compiled. Every other op and kernel, and
+        the checkpoints and their record, are this circuit's own objects.
+        """
+        ops, kernels = list(self.ops), list(self._kernels)
+        total = self.layout.total_qubits
+        for i, parameter in parameters.items():
+            ops[i] = op = ops[i]._derive(parameter)
+            kernels[i] = _compile_entry(op, total)
+        return _trusted(Circuit, {**self.__dict__, "ops": tuple(ops), "_kernels": tuple(kernels)})
 
     @property
     def gate_count(self) -> int:
@@ -771,7 +762,7 @@ def _compile_entry(op: GateOp, total: int) -> _Kernel:
 
 def apply_gate(state: StateVector, op: GateOp) -> StateVector:
     """Apply one gate; returns a new state, input untouched."""
-    kernel = op._compile(state.layout.total_qubits)
+    (kernel,) = Circuit(state.layout, (op,))._kernels
     return _state(state.layout, kernel(state._support))
 
 
@@ -789,12 +780,9 @@ def apply_circuit(
         raise ValueError("circuit layout does not match state layout")
     if not circuit.ops:
         return state, {}
-    labels_at = circuit._labels_at
-    total, held = layout.total_qubits, state._support
-    # The Circuit compiled each of its ops for its width when it was made.
-    kernels = (op._compiled[total] for op in circuit.ops)
+    labels_at, held = circuit._labels_at, state._support
     snapshots: dict[str, StateVector] = {}
-    for i, kernel in enumerate(kernels):
+    for i, kernel in enumerate(circuit._kernels):
         held = kernel(held)
         for label in labels_at.get(i, ()):
             snapshots[label] = _state(layout, held)
@@ -816,7 +804,7 @@ def gate_matrix(op: GateOp, layout: RegisterLayout) -> np.ndarray:
     """Dense unitary of one gate on the full index space, guarded at
     GATE_MATRIX_QUBIT_LIMIT qubits.
 
-    Column j is the op's compiled kernel run on basis vector j,
+    Column j is the op's kernel run on basis vector j,
     {j: 1+0j}, so it holds the bytes apply_gate gives there by
     construction; the Kronecker oracle in tests/helpers.py is the
     independent check.
@@ -827,7 +815,7 @@ def gate_matrix(op: GateOp, layout: RegisterLayout) -> np.ndarray:
             f"gate_matrix is dense and limited to {GATE_MATRIX_QUBIT_LIMIT} "
             f"qubits; layout has {total}"
         )
-    kernel = op._compile(total)
+    (kernel,) = Circuit(layout, (op,))._kernels
     dim = 1 << total
     matrix = np.zeros((dim, dim), dtype=np.complex128)
     for j in range(dim):

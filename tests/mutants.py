@@ -13,7 +13,9 @@ failure that ends in a NameError or AttributeError is not a kill either: the
 replacement named something that does not exist, so the tests never saw the
 behaviour it meant to break. An original text that no longer occurs
 exactly once fails the run: a refactor that moves the code must move the
-mutant with it.
+mutant with it. Each pytest run is stopped after PYTEST_TIMEOUT_S seconds;
+a mutant whose tests run that long (say, a loop that no longer ends) is
+reported as TIME and counts as a problem, not as a kill.
 
 Exit status 0 when every mutant is killed, 1 otherwise.
 """
@@ -83,9 +85,9 @@ MUTANTS = (
         ),
     ),
     Mutant(
-        "skewed amplitudes keep the template's H preparation",
+        "skewed amplitudes keep the template's RY(0.0) preparation",
         "branchcomm/protocol.py",
-        "ops[0] = rotation._derive(2.0 * math.atan2(config.amp1, config.amp0))",
+        "parameters[0] = 2.0 * math.atan2(config.amp1, config.amp0)",
         "pass",
         (
             "tests/test_protocol.py::test_preparation_gate_matches_amplitudes",
@@ -147,13 +149,6 @@ MUTANTS = (
         ),
     ),
     Mutant(
-        "validation remembered regardless of width",
-        "branchcomm/statevec.py",
-        "entry = self._compiled.get(total)",
-        "entry = next(iter(self._compiled.values()), None)",
-        ("tests/test_statevec.py::test_gateop_remembers_only_passed_validation_per_width",),
-    ),
-    Mutant(
         "H written as a0 * SQRT_HALF + a1 * SQRT_HALF",
         "branchcomm/statevec.py",
         "out[low], out[high] = _mix(coeffs, held.get(low, 0j), held.get(high, 0j))",
@@ -191,30 +186,27 @@ MUTANTS = (
         ("tests/test_statevec.py::test_snapshots_follow_op_order_then_table_order",),
     ),
     Mutant(
-        "Circuit marks an op it has not seen as valid without checking it",
+        "Circuit compiles its ops without _check",
         "branchcomm/statevec.py",
-        "            op._compile(total)\n",
-        "            op._compiled[total] = _compile_entry(op, total)\n",
-        (
-            "tests/test_statevec.py::test_circuit_checks_each_op_not_yet_valid_for_its_width",
-            "tests/test_protocol.py::test_circuits_over_shared_ops_still_validate_their_fresh_ops",
-        ),
+        "            op._check(total)\n",
+        "            pass\n",
+        ("tests/test_statevec.py::test_circuit_checks_each_op_not_yet_valid_for_its_width",),
     ),
     Mutant(
-        "a derived op takes on its template's widths without checking its parameter",
+        "a derived op skips the check on its new parameter",
         "branchcomm/statevec.py",
         "        op._check_parameter()\n",
         "",
         ("tests/test_protocol.py::test_circuits_over_shared_ops_still_validate_their_fresh_ops",),
     ),
     Mutant(
-        "a derived op keeps its template's compiled record",
+        "Circuit._derive keeps the template's kernel for a replaced op",
         "branchcomm/statevec.py",
-        'fields["_compiled"] = {total: _compile_entry(op, total) for total in self._compiled}',
-        'fields["_compiled"] = dict(self._compiled)',
+        "            kernels[i] = _compile_entry(op, total)\n",
+        "",
         (
-            "tests/test_protocol.py::test_final_state_n1_two_branch_form",
             "tests/test_protocol.py::test_run_against_dense_oracle_n3",
+            "tests/test_protocol.py::test_trusted_circuits_and_runs_equal_checked_ones",
         ),
     ),
     Mutant(
@@ -289,16 +281,25 @@ MUTANTS = (
 # pytest's traceback line for an exception raised by a name the mutant broke.
 BROKEN_NAME = re.compile(r"^E\s+(NameError|AttributeError)\b", re.MULTILINE)
 
+# Longest one pytest run may take; every named test together takes seconds.
+PYTEST_TIMEOUT_S = 300
 
-def _pytest(src: Path, tests: tuple[str, ...]) -> tuple[int, str]:
+
+def _pytest(src: Path, tests: tuple[str, ...]) -> tuple[int | None, str]:
+    """pytest's exit status and output; the status is None for a run
+    stopped after PYTEST_TIMEOUT_S seconds."""
     env = dict(os.environ, PYTHONPATH=str(src), PYTHONDONTWRITEBYTECODE="1")
     command = [
         sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider",
         "-o", f"pythonpath={src}", *tests,
     ]
-    done = subprocess.run(
-        command, cwd=ROOT, env=env, stdout=subprocess.PIPE, stderr=subprocess.STDOUT
-    )
+    try:
+        done = subprocess.run(
+            command, cwd=ROOT, env=env, stdout=subprocess.PIPE, stderr=subprocess.STDOUT,
+            timeout=PYTEST_TIMEOUT_S,
+        )
+    except subprocess.TimeoutExpired as exc:
+        return None, (exc.output or b"").decode(errors="replace")
     output = done.stdout.decode(errors="replace")
     if done.returncode not in (0, 1):
         sys.stdout.write(output)
@@ -322,7 +323,8 @@ def main() -> int:
         named = tuple(dict.fromkeys(t for mutant in MUTANTS for t in mutant.tests))
         code, _ = _pytest(src, named)
         if code != 0:
-            print(f"BAD  the named tests exit {code} on the unmutated source")
+            how = f"exit {code}" if code is not None else f"run past {PYTEST_TIMEOUT_S} s"
+            print(f"BAD  the named tests {how} on the unmutated source")
             return 1
         for mutant in MUTANTS:
             target = src / mutant.path
@@ -332,6 +334,10 @@ def main() -> int:
                 code, output = _pytest(src, mutant.tests)
             finally:
                 target.write_text(original)
+            if code is None:
+                problems += 1
+                print(f"TIME {mutant.name} (pytest stopped after {PYTEST_TIMEOUT_S} s)")
+                continue
             broken = BROKEN_NAME.search(output)
             killed = code == 1 and not broken
             problems += not killed

@@ -770,7 +770,10 @@ def test_export_unequal_amplitudes_has_no_qasm(capsys):
         "--amp0", str(math.sqrt(1 / 3)), "--amp1", str(math.sqrt(2 / 3)),
     )
     assert code == 1
-    assert "no x/h/cx representation" in err
+    assert err == (
+        "error: rotation preparation (unequal amplitudes) has no x/h/cx "
+        "representation; export with --format json instead\n"
+    )
 
     code, out, _ = run_cli(
         capsys,

@@ -472,14 +472,36 @@ def test_mu_independence_report_names_message_dependent_ops(
     assert expected in report.measurements["mismatches"]
 
 
+def _kernel_parts(circuit):
+    """Each kernel's function and bound arguments: partial objects compare
+    by identity, these by value."""
+    return [(kernel.func, kernel.args) for kernel in circuit._kernels]
+
+
 def test_trusted_circuits_and_runs_equal_checked_ones():
     """build_protocol_circuit and run_protocol skip their public
-    constructors; what they return is what those constructors build."""
+    constructors; what they return is what those constructors build, and a
+    derived circuit shares every kernel but the encoder's and an RY
+    preparation's with its template."""
     wide = [(ProtocolConfig(n=2), m, "01", "10") for m in all_messages(2)]
     for config, message, *friends in [*small_protocol_cases(), *wide]:
         circuit = build_protocol_circuit(config, message, *friends)
         checked = Circuit(circuit.layout, circuit.ops, circuit.checkpoints)
-        assert circuit == checked and vars(circuit) == vars(checked)
+        assert circuit == checked and set(vars(circuit)) == set(vars(checked))
+        assert circuit._labels_at == checked._labels_at
+        assert _kernel_parts(circuit) == _kernel_parts(checked)
+        rotated = circuit.ops[0].kind is GateKind.RY
+        template, e = protocol._shared_parts(
+            config.n, *(friends or ("0", "1")), config.uncompute_memory,
+            config.apply_branch_swap, rotated,
+        )
+        assert circuit.checkpoints is template.checkpoints
+        assert circuit._labels_at is template._labels_at
+        for i, (kernel, shared) in enumerate(zip(circuit._kernels, template._kernels)):
+            if i == e or (i == 0 and rotated):
+                assert kernel is not shared
+            else:
+                assert kernel is shared and circuit.ops[i] is template.ops[i]
         if friends:
             continue
         run = run_protocol(config, message)

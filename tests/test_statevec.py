@@ -195,20 +195,17 @@ def test_apply_gate_leaves_input_untouched():
 
 
 def test_gateop_validation():
-    with pytest.raises(ValueError):
-        GateOp.cnot(1, 1).validate(QRF)
-    with pytest.raises(ValueError):
-        GateOp.x(3).validate(QRF)
-    with pytest.raises(ValueError):
-        GateOp.encode("10", (0, 1, 2)).validate(QRF)
-    with pytest.raises(ValueError):
-        GateOp.transversal_cnot((0, 1), (2,)).validate(QRF)
-    with pytest.raises(ValueError):
-        GateOp(GateKind.RY, (0,)).validate(QRF)
-    with pytest.raises(ValueError):
-        GateOp.encode("2", (0,)).validate(QRF)
-    with pytest.raises(ValueError):
-        GateOp(GateKind.MULTI_X, ()).validate(QRF)
+    for op in (
+        GateOp.cnot(1, 1),
+        GateOp.x(3),
+        GateOp.encode("10", (0, 1, 2)),
+        GateOp.transversal_cnot((0, 1), (2,)),
+        GateOp(GateKind.RY, (0,)),
+        GateOp.encode("2", (0,)),
+        GateOp(GateKind.MULTI_X, ()),
+    ):
+        with pytest.raises(ValueError):
+            Circuit(QRF, (op,))
 
 
 def test_gateop_rejects_non_integral_qubits():
@@ -226,7 +223,7 @@ def test_gateop_rejects_non_integral_qubits():
 @pytest.mark.parametrize(
     "build, text",
     [
-        (lambda: GateOp.ry(True, 0).validate(QRF), "RY angle must be a finite real, got True"),
+        (lambda: GateOp.ry(True, 0)._check(3), "RY angle must be a finite real, got True"),
         (lambda: Circuit(QRF, (GateOp(GateKind.RY, (0,), angle=True),)),
          "RY angle must be a finite real, got True"),
         (lambda: ProtocolConfig(amp0=True, amp1=0.0), "amp0 must be a finite real, got True"),
@@ -251,7 +248,7 @@ def test_ry_angle_that_is_not_a_finite_real_is_refused(angle):
     dense = StateVector(QRF, zero_state(QRF).amplitudes)
     for op in (GateOp.ry(angle, 0), GateOp(GateKind.RY, (0,), angle=angle)):
         for use in (
-            op.validate,
+            lambda layout: op._check(layout.total_qubits),
             lambda layout: Circuit(layout, (op,)),
             lambda layout: apply_gate(zero_state(layout), op),
             lambda layout: apply_gate(dense, op),
@@ -260,45 +257,57 @@ def test_ry_angle_that_is_not_a_finite_real_is_refused(angle):
             with pytest.raises(ValueError, match=text):
                 use(QRF)
     template = GateOp.ry(0.5, 0)
-    template.validate(QRF)
     with pytest.raises(ValueError, match=text):
         template._derive(angle)
+    with pytest.raises(ValueError, match=text):
+        Circuit(QRF, (template,))._derive({0: angle})
 
 
 def test_gateop_remembers_only_passed_validation_per_width():
+    """An op valid on one width says nothing about another: each Circuit
+    checks its ops for its own width, every time."""
     wide = protocol_layout(8)  # 19 qubits
     op = GateOp.x(10)
-    op.validate(wide)
+    Circuit(wide, (op,))
     with pytest.raises(ValueError, match="out of range for 3-qubit"):
-        op.validate(QRF)
-    op.validate(wide)
+        Circuit(QRF, (op,))
+    Circuit(wide, (op,))
 
     rejected = GateOp.encode("10", (0, 1, 2))
     for _ in range(2):
         with pytest.raises(ValueError, match="payload width"):
-            rejected.validate(QRF)
+            Circuit(QRF, (rejected,))
     bad_qubit = GateOp.x(3)
     with pytest.raises(ValueError, match="out of range"):
-        bad_qubit.validate(QRF)
-    bad_qubit.validate(protocol_layout(1))  # 5 qubits: qubit 3 exists
+        Circuit(QRF, (bad_qubit,))
+    Circuit(protocol_layout(1), (bad_qubit,))  # 5 qubits: qubit 3 exists
     with pytest.raises(ValueError, match="out of range"):
-        bad_qubit.validate(QRF)
+        Circuit(QRF, (bad_qubit,))
+
+
+def _kernel(op, total):
+    """The kernel a one-op Circuit on `total` qubits compiles for op."""
+    (kernel,) = Circuit(RegisterLayout((("q", total),)), (op,))._kernels
+    return kernel
 
 
 def test_kernels_compile_once_per_width_outside_equality():
+    """Each Circuit compiles its ops for its own width; the kernels take no
+    part in the op's or the circuit's ==, hash or repr."""
     op = GateOp.transversal_cnot((0, 1), (2, 3))
-    narrow, wide = op._compile(4), op._compile(6)
+    narrow, wide = _kernel(op, 4), _kernel(op, 6)
     assert narrow({0b1000: 1j, 0b0100: 2.0, 0b1100: 3.0}) == {
         0b1010: 1j, 0b0101: 2.0, 0b1111: 3.0
     }
     assert wide({0b100000: 1j, 0b010000: 2.0, 0b110011: 3.0}) == {
         0b101000: 1j, 0b010100: 2.0, 0b111111: 3.0
     }
-    assert op._compile(4) is narrow and op._compile(6) is wide
-    op.validate(protocol_layout(1))
-    assert op._compile(5) is op._compile(5) is not narrow
     fresh = GateOp.transversal_cnot((0, 1), (2, 3))
     assert op == fresh and hash(op) == hash(fresh) and repr(op) == repr(fresh)
+    layout = RegisterLayout((("q", 4),))
+    one, two = Circuit(layout, (op,)), Circuit(layout, (fresh,))
+    assert one._kernels[0] is not two._kernels[0]
+    assert one == two and hash(one) == hash(two) and repr(one) == repr(two)
 
 
 def test_compiling_an_op_not_valid_for_the_width_raises_its_check():
@@ -307,13 +316,54 @@ def test_compiling_an_op_not_valid_for_the_width_raises_its_check():
         (GateOp.transversal_cnot((0, 7), (1, 9)), 4, "qubit 9 out of range for 4-qubit layout"),
         (GateOp.x(-1), 3, "qubit -1 out of range for 3-qubit layout"),
     ):
+        for _ in range(2):  # a rejected op raises every time
+            with pytest.raises(ValueError, match=re.escape(text)):
+                _kernel(op, total)
+            with pytest.raises(ValueError, match=re.escape(text)):
+                op._check(total)
+
+
+def test_gateop_is_a_plain_value():
+    """An op holds its five fields and nothing else, whichever widths it
+    has run at, and equal ops stay equal, with equal hashes and reprs."""
+    fields = {"kind", "targets", "controls", "payload", "angle"}
+    ops = [GateOp.x(2), GateOp.ry(0.3, 1), GateOp.encode("101", (0, 1, 2)),
+           GateOp.transversal_cnot((0,), (2,))]
+    twins = [GateOp.x(2), GateOp.ry(0.3, 1), GateOp.encode("101", (0, 1, 2)),
+             GateOp.transversal_cnot((0,), (2,))]
+    for total in (3, 5, 19):
         layout = RegisterLayout((("q", total),))
-        for _ in range(2):  # nothing is recorded for a rejected width
-            with pytest.raises(ValueError, match=re.escape(text)):
-                op._compile(total)
-            with pytest.raises(ValueError, match=re.escape(text)):
-                op.validate(layout)
-        assert total not in op._compiled
+        circuit = Circuit(layout, ops)
+        apply_circuit(zero_state(layout), circuit)
+        apply_circuit(zero_state(layout), circuit._derive({1: 0.7, 2: "011"}))
+        if total <= GATE_MATRIX_QUBIT_LIMIT:
+            gate_matrix(ops[0], layout)
+    for op, twin in zip(ops, twins):
+        assert set(vars(op)) == fields
+        assert op == twin and hash(op) == hash(twin) and repr(op) == repr(twin)
+
+
+def test_circuit_derive_refuses_what_its_ops_refuse():
+    """Circuit._derive replaces only an RY's angle or an ENCODE_MU's
+    payload, each checked with the texts a fresh op gets."""
+    ops = (GateOp.x(0), GateOp.h(1), GateOp.cnot(0, 1), GateOp.ry(0.5, 2),
+           GateOp.encode("10", (1, 2), control=0))
+    circuit = Circuit(QRF, ops)
+    for i, name in ((0, "X"), (1, "H"), (2, "CNOT")):
+        with pytest.raises(ValueError, match=f"^{name} has no parameter to replace$"):
+            circuit._derive({i: "1"})
+    for i, parameter, text in (
+        (3, math.nan, "RY angle must be a finite real, got nan"),
+        (3, "0.5", "RY angle must be a finite real, got '0.5'"),
+        (4, "1x", "ENCODE_MU payload must be a nonempty string over {0,1}, got '1x'"),
+        (4, "101", "ENCODE_MU payload width 3 != target register width 2"),
+        (4, None, "ENCODE_MU requires a payload bit-string"),
+    ):
+        with pytest.raises(ValueError, match=re.escape(text)):
+            circuit._derive({i: parameter})
+    derived = circuit._derive({3: 1.5, 4: "01"})
+    assert derived == Circuit(QRF, (*ops[:3], GateOp.ry(1.5, 2), GateOp.encode("01", (1, 2), 0)))
+    assert all(a is b for a, b in zip(derived._kernels[:3], circuit._kernels))
 
 
 @pytest.mark.parametrize("total", [1, 7, 64, 4301, 10007])
