@@ -131,6 +131,13 @@ def evaluate_transfer(
     when given. A given friend value is parsed by layout.value_for, so a
     malformed one raises ValueError. failure_reason names the first violated
     clause.
+
+    The final state is grouped on R by _groups, the grouping
+    decompose_by_register uses, and each clause reads its register's value
+    at a branch's basis index as an int (layout.field), in the order above.
+    Bit-strings are formatted only for a failure: the failing clause's text
+    and the verdict's three register fields. A success's fields are the
+    message and blank strings the clauses matched.
     """
     layout = final.layout
     n = layout.width("M")
@@ -143,54 +150,64 @@ def evaluate_transfer(
         receiver_friend = "0" * layout.width("F")
     zeros = "0" * n
 
-    branches = decompose_by_register(final, "R")
-    if len(branches) != 2:
+    # Each branch on R that decompose_by_register would keep, as its
+    # indices and the positions of its amplitudes above ZERO_TOL.
+    found = [(indices, live) for indices, _, live in _groups(final, "R") if live]
+    if len(found) != 2:
         return TransferVerdict(
-            False,
-            failure_reason=f"expected exactly two branches on R, found {len(branches)}",
+            False, failure_reason=f"expected exactly two branches on R, found {len(found)}",
         )
-    for b in branches:
-        if b.local_state is None:
+    for indices, live in found:
+        if len(live) != 1:
             return TransferVerdict(
                 False,
                 failure_reason=(
-                    f"non-classical branch: R={b.label} component is not a "
-                    "single basis state"
+                    f"non-classical branch: R={layout.value_of(indices[0], 'R')} "
+                    "component is not a single basis state"
                 ),
             )
-    # Branches come in ascending R order with distinct labels.
-    receiver, sender = branches
-    if receiver.label != "0" or sender.label != "1":
+    # Two single-basis-vector branches, in ascending R order: one index
+    # each. They are R=0 and R=1 exactly when R is one bit wide.
+    (receiver, (r_at,)), (sender, (s_at,)) = found
+    r, s = receiver[r_at], sender[s_at]
+    if layout.width("R") != 1:
+        labels = [layout.value_of(r, "R"), layout.value_of(s, "R")]
         return TransferVerdict(
-            False,
-            failure_reason=f"branch labels {sorted(b.label for b in branches)} "
-            "do not cover R=0 and R=1",
+            False, failure_reason=f"branch labels {labels} do not cover R=0 and R=1",
         )
 
-    r, s = receiver.local_state, sender.local_state
-    if r["P"] != message.bits:
-        reason = f"receiver paper '{r['P']}' != message '{message.bits}'"
-    elif r["M"] != zeros:
-        reason = f"cross-branch memory: receiver memory '{r['M']}' != '{zeros}'"
-    elif r["F"] != receiver_friend:
-        reason = f"receiver friend '{r['F']}' != expected '{receiver_friend}'"
-    elif r["Q"] != "0":
-        reason = f"receiver qubit '{r['Q']}' != '0'"
-    elif s["P"] != zeros:
-        reason = f"sender paper '{s['P']}' is not blank"
-    elif s["M"] != zeros:
-        reason = f"sender memory '{s['M']}' is not cleared"
-    elif sender_friend is not None and s["F"] != sender_friend:
-        reason = f"sender friend '{s['F']}' != expected '{sender_friend}'"
+    # Each clause reads a register's value as an int. As in a comparison of
+    # bit-strings, one of another width never matches: M is n bits wide, so
+    # P is when pm == mm, which the first clause requires, and Q is one bit
+    # wide when qm == 1.
+    (ps, pm), (ms, mm), (fs, fm), (qs, qm) = map(layout.field, "PMFQ")
+    value_of = layout.value_of
+    if pm != mm or (r >> ps) & pm != int(message.bits, 2):
+        reason = f"receiver paper '{value_of(r, 'P')}' != message '{message.bits}'"
+    elif (r >> ms) & mm:
+        reason = f"cross-branch memory: receiver memory '{value_of(r, 'M')}' != '{zeros}'"
+    elif (r >> fs) & fm != int(receiver_friend, 2):
+        reason = f"receiver friend '{value_of(r, 'F')}' != expected '{receiver_friend}'"
+    elif qm != 1 or (r >> qs) & qm:
+        reason = f"receiver qubit '{value_of(r, 'Q')}' != '0'"
+    elif (s >> ps) & pm:
+        reason = f"sender paper '{value_of(s, 'P')}' is not blank"
+    elif (s >> ms) & mm:
+        reason = f"sender memory '{value_of(s, 'M')}' is not cleared"
+    elif sender_friend is not None and (s >> fs) & fm != int(sender_friend, 2):
+        reason = f"sender friend '{value_of(s, 'F')}' != expected '{sender_friend}'"
     else:
-        # A success carries no failure reason, the one thing the
-        # constructor checks.
+        # Every clause held, so the three fields read the expected bits. A
+        # success carries no failure reason, the one thing the constructor
+        # checks.
         return _trusted(TransferVerdict, {
-            "success": True, "receiver_paper": r["P"], "receiver_memory": r["M"],
-            "sender_paper": s["P"], "failure_reason": None,
+            "success": True, "receiver_paper": message.bits, "receiver_memory": zeros,
+            "sender_paper": zeros, "failure_reason": None,
             "note": "blank message" if message.blank else None,
         })
-    return TransferVerdict(False, r["P"], r["M"], s["P"], failure_reason=reason)
+    return TransferVerdict(
+        False, value_of(r, "P"), value_of(r, "M"), value_of(s, "P"), failure_reason=reason,
+    )
 
 
 def verify_transfer(run: ProtocolRun, message: Message) -> TransferVerdict:

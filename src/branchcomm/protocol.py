@@ -98,7 +98,7 @@ class Message:
 
     @property
     def blank(self) -> bool:
-        return set(self.bits) == {"0"}
+        return "1" not in self.bits
 
 
 @dataclass(frozen=True)

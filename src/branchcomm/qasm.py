@@ -60,6 +60,9 @@ def to_qasm(circuit: Circuit, measure: bool = False) -> str:
     return "\n".join(lines) + "\n"
 
 
+# Statements the re-simulation skips, matched by their whole first word:
+# the header, includes, classical registers, measurements and barriers.
+_SKIPPED = frozenset({"OPENQASM", "include", "creg", "measure", "barrier"})
 _QREG_RE = re.compile(r"^qreg\s+q\[(\d+)\]$")
 _ONE_Q_RE = re.compile(r"^(h|x)\s+q\[(\d+)\]$")
 _CX_RE = re.compile(r"^cx\s+q\[(\d+)\]\s*,\s*q\[(\d+)\]$")
@@ -73,7 +76,7 @@ def parse_qasm(text: str) -> tuple[int, list[GateOp]]:
         line = raw.split("//")[0].strip().rstrip(";").strip()
         if not line:
             continue
-        if line.startswith(("OPENQASM", "include", "creg", "measure", "barrier")):
+        if line.split(maxsplit=1)[0] in _SKIPPED:
             continue
         m = _QREG_RE.match(line)
         if m:

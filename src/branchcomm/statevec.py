@@ -38,8 +38,14 @@ one place where a gate kind becomes code, with the labels to snapshot after
 each op; apply_circuit reads both, and apply_gate and gate_matrix take the
 kernel of a one-op Circuit. Circuit._derive copies a circuit with new
 ENCODE_MU payloads or RY angles: GateOp._derive reruns only the checks
-that read that field, and only the replaced ops are compiled, so every
-other op and kernel is the template's own. The protocol builds each run's
+that read that field, and each replaced op's kernel comes from its kernel
+family (_compile_entry with family=True), which the template builds on the
+first _derive at that op and keeps. A family holds what reads only the
+op's qubits, an RY's target bit or an encoder's control mask, and computes
+per op what reads the parameter: RY's coefficients, the encoder's flip
+mask over op.flipped. Every other op and kernel is the template's own, so
+a derived circuit costs only what its new parameters change, and a Circuit
+never derived from builds no family. The protocol builds each run's
 circuit that way from a template it checked once. protocol_layout is
 cached, since a RegisterLayout is immutable, and zero_state holds
 {0: 1+0j}, the all-zero index in every layout.
@@ -68,6 +74,8 @@ import numbers
 import operator
 from dataclasses import dataclass
 from functools import cached_property, lru_cache, partial
+from itertools import compress
+from operator import itemgetter
 from typing import Callable, Iterable, Mapping, Sequence, TypeVar
 
 import numpy as np
@@ -96,6 +104,12 @@ class GateKind(enum.Enum):
     MULTI_X = "MULTI_X"
     ENCODE_MU = "ENCODE_MU"
     TRANSVERSAL_CNOT = "TRANSVERSAL_CNOT"
+
+
+# The kinds a protocol run's derived ops are checked and compiled by, as
+# module globals: GateKind.RY is an attribute lookup on the enum class,
+# about 0.1 us on CPython 3.11, and each run reads them several times.
+_H, _RY, _ENCODE_MU = GateKind.H, GateKind.RY, GateKind.ENCODE_MU
 
 
 def check_bits(bits: str, what: str) -> str:
@@ -364,7 +378,7 @@ class StateVector:
 
     def nonzero_items(self) -> list[tuple[int, complex]]:
         """(basis index, amplitude) of every nonzero amplitude, ascending index."""
-        return sorted((i, a) for i, a in self._support.items() if a)
+        return sorted(filter(itemgetter(1), self._support.items()))
 
     def listed_items(self) -> list[tuple[int, complex]]:
         """(basis index, amplitude) of every support entry, in support order,
@@ -499,8 +513,8 @@ class GateOp:
         """The targets flipped once every control is set, in target order:
         for ENCODE_MU those whose payload bit is 1, for X, MULTI_X and CNOT
         all of them. The kernel and the QASM emitter both read it."""
-        if self.kind is GateKind.ENCODE_MU:
-            return [t for bit, t in zip(self.payload, self.targets) if bit == "1"]
+        if self.kind is _ENCODE_MU:
+            return list(compress(self.targets, map("1".__eq__, self.payload)))
         return self.targets
 
     def _check(self, total: int) -> None:
@@ -542,11 +556,11 @@ class GateOp:
     def _check_parameter(self) -> None:
         """The checks on the one field _derive replaces: an RY's angle, an
         ENCODE_MU's payload (against its target count)."""
-        if self.kind is GateKind.RY:
+        if self.kind is _RY:
             angle = self.angle
             if not (_real(angle) and math.isfinite(angle)):
                 raise ValueError(f"RY angle must be a finite real, got {angle!r}")
-        elif self.kind is GateKind.ENCODE_MU:
+        elif self.kind is _ENCODE_MU:
             if self.payload is None:
                 raise ValueError("ENCODE_MU requires a payload bit-string")
             check_bits(self.payload, "ENCODE_MU payload")
@@ -566,9 +580,9 @@ class GateOp:
         """
         op = _trusted(GateOp, self.__dict__)
         fields = op.__dict__
-        if self.kind is GateKind.RY:
+        if self.kind is _RY:
             fields["angle"] = parameter
-        elif self.kind is GateKind.ENCODE_MU:
+        elif self.kind is _ENCODE_MU:
             fields["payload"] = parameter
         else:
             raise ValueError(f"{self.kind.value} has no parameter to replace")
@@ -585,7 +599,9 @@ class Circuit:
     layout's width (GateOp._check), normalises the checkpoints to (int, str)
     pairs and checks them. For apply_circuit it then records the labels to
     snapshot after each op index, in table order, and the kernel of each op
-    (_compile_entry). Neither record takes part in ==, hash or repr.
+    (_compile_entry). _derive adds the kernel families it builds to a third
+    record, _families, empty until then. No record takes part in ==, hash
+    or repr.
     """
 
     layout: RegisterLayout
@@ -617,19 +633,26 @@ class Circuit:
             )
         object.__setattr__(self, "_labels_at", labels_at)
         object.__setattr__(self, "_kernels", tuple(_compile_entry(op, total) for op in ops))
+        object.__setattr__(self, "_families", {})
 
     def _derive(self, parameters: Mapping[int, str | float]) -> "Circuit":
         """A copy of this circuit with ops[i] replaced by
         ops[i]._derive(parameter) for each i: parameter in `parameters`.
 
-        Only the replaced ops are compiled. Every other op and kernel, and
-        the checkpoints and their record, are this circuit's own objects.
+        Each new op's kernel comes from the kernel family of the op it
+        replaces (_compile_entry with family=True), built on the first
+        _derive at that index and kept in _families, which every circuit
+        derived from this one shares. Every other op and kernel, and the
+        checkpoints and their record, are this circuit's own objects.
         """
         ops, kernels = list(self.ops), list(self._kernels)
-        total = self.layout.total_qubits
+        families = self._families
         for i, parameter in parameters.items():
-            ops[i] = op = ops[i]._derive(parameter)
-            kernels[i] = _compile_entry(op, total)
+            op = ops[i]._derive(parameter)
+            family = families.get(i)
+            if family is None:
+                family = families[i] = _compile_entry(ops[i], self.layout.total_qubits, True)
+            ops[i], kernels[i] = op, family(op)
         return _trusted(Circuit, {**self.__dict__, "ops": tuple(ops), "_kernels": tuple(kernels)})
 
     @property
@@ -693,7 +716,7 @@ _Coefficients = tuple[complex, complex] | None
 
 def _coefficients(op: GateOp) -> _Coefficients:
     """None for H, (cos, sin) of half the angle, as complex, for RY."""
-    if op.kind is GateKind.H:
+    if op.kind is _H:
         return None
     return complex(math.cos(op.angle / 2.0)), complex(math.sin(op.angle / 2.0))
 
@@ -731,24 +754,45 @@ def _mix_support(
 
 
 _Kernel = Callable[[dict[int, complex]], dict[int, complex]]
+_Family = Callable[[GateOp], _Kernel]
 
 
-def _compile_entry(op: GateOp, total: int) -> _Kernel:
+# Kernel builders for _compile_entry: (what reads only the op's qubits,
+# qubit count, op) -> the op's kernel.
+def _mix_kernel(bit: int, total: int, op: GateOp) -> _Kernel:
+    return partial(_mix_support, _coefficients(op), bit)
+
+
+def _shift_kernel(shifts: tuple[tuple[int, int, int], ...], total: int, op: GateOp) -> _Kernel:
+    return partial(_shift_support, shifts)
+
+
+def _flip_kernel(cmask: int, total: int, op: GateOp) -> _Kernel:
+    return partial(_flip_support, cmask, _mask(total, op.flipped))
+
+
+def _compile_entry(op: GateOp, total: int, family: bool = False) -> _Kernel | _Family:
     """The kernel of an op valid on `total` qubits, built from its qubit
     positions: the one place where a gate kind becomes code.
 
-    A transversal CNOT's controls are grouped by control-to-target distance
-    t - c, in pair order, one control mask per distance, run by
-    _shift_support. Every other permuting kind is one (control mask, flip
-    mask) pair over its controls and op.flipped, run by _flip_support. H
-    and RY run through _mix_support. A kernel holds only masks and
-    coefficients, never the op, so it makes no reference cycle.
+    With `family`, the op's kernel family instead: a function from an op
+    with this op's kind and qubits (this op, or one GateOp._derive made
+    from it) to that op's kernel. It computes once what reads only the
+    qubits, and per op what reads the parameter.
+
+    H and RY run through _mix_support on the target's bit, with RY's
+    coefficients read per op. A transversal CNOT's controls are grouped by
+    control-to-target distance t - c, in pair order, one control mask per
+    distance, run by _shift_support. Every other permuting kind is one
+    (control mask, flip mask) pair, run by _flip_support: the control mask
+    over its controls, the flip mask over op.flipped, read per op. A kernel
+    holds only masks and coefficients, never the op, so it makes no
+    reference cycle.
     """
     kind = op.kind
-    if kind is GateKind.H or kind is GateKind.RY:
-        t, coeffs = op.targets[0], _coefficients(op)
-        return partial(_mix_support, coeffs, 1 << (total - 1 - t))
-    if kind is GateKind.TRANSVERSAL_CNOT:
+    if kind is _H or kind is _RY:
+        build, fixed = _mix_kernel, 1 << (total - 1 - op.targets[0])
+    elif kind is GateKind.TRANSVERSAL_CNOT:
         by_distance: dict[int, list[int]] = {}
         for c, t in zip(op.controls, op.targets):
             by_distance.setdefault(t - c, []).append(c)
@@ -756,8 +800,10 @@ def _compile_entry(op: GateOp, total: int) -> _Kernel:
             (_mask(total, controls), max(d, 0), max(-d, 0))
             for d, controls in by_distance.items()
         )
-        return partial(_shift_support, shifts)
-    return partial(_flip_support, _mask(total, op.controls), _mask(total, op.flipped))
+        build, fixed = _shift_kernel, shifts
+    else:
+        build, fixed = _flip_kernel, _mask(total, op.controls)
+    return partial(build, fixed, total) if family else build(fixed, total, op)
 
 
 def apply_gate(state: StateVector, op: GateOp) -> StateVector:

@@ -202,12 +202,21 @@ MUTANTS = (
     Mutant(
         "Circuit._derive keeps the template's kernel for a replaced op",
         "branchcomm/statevec.py",
-        "            kernels[i] = _compile_entry(op, total)\n",
-        "",
+        "            ops[i], kernels[i] = op, family(op)\n",
+        "            ops[i] = op\n",
         (
             "tests/test_protocol.py::test_run_against_dense_oracle_n3",
             "tests/test_protocol.py::test_trusted_circuits_and_runs_equal_checked_ones",
+            "tests/test_protocol.py::test_derived_kernels_match_freshly_compiled_ones",
         ),
+    ),
+    Mutant(
+        "a derived encoder keeps its template's flip mask",
+        "branchcomm/statevec.py",
+        "        build, fixed = _flip_kernel, _mask(total, op.controls)\n",
+        "        build, fixed = (lambda fixed, total, _: _flip_kernel(fixed, total, op)), "
+        "_mask(total, op.controls)\n",
+        ("tests/test_protocol.py::test_derived_kernels_match_freshly_compiled_ones",),
     ),
     Mutant(
         "gate_matrix writes each column as a row",
@@ -237,6 +246,17 @@ MUTANTS = (
         (
             "tests/test_protocol.py::test_message_validation",
             "tests/test_cli.py::test_run_usage_errors_exit_1",
+        ),
+    ),
+    Mutant(
+        "the transfer predicate skips the sender-memory clause",
+        "branchcomm/branches.py",
+        "    elif (s >> ms) & mm:\n"
+        "        reason = f\"sender memory '{value_of(s, 'M')}' is not cleared\"\n",
+        "",
+        (
+            "tests/test_branches.py::test_failure_verdicts_are_pinned",
+            "tests/test_branches.py::test_failure_sender_side",
         ),
     ),
     Mutant(

@@ -20,6 +20,7 @@ from branchcomm.protocol import (
     run_protocol,
 )
 from branchcomm.statevec import (
+    RegisterLayout,
     StateVector,
     apply_circuit,
     make_basis_state,
@@ -290,6 +291,121 @@ def test_sender_friend_check_is_optional():
     )
     assert not verdict.success
     assert "friend" in verdict.failure_reason
+
+
+# Every failure clause of evaluate_transfer, pinned whole: the reason text and
+# the three register fields. Each case is (layout widths as (n, friend width)
+# or a register table, message, receiver and sender overrides on a
+# completed-run state, friend expectations, reason, receiver paper, receiver
+# memory, sender paper).
+PINNED_FAILURES = [
+    # n = 1, the paper's friend, no friend expectations given
+    ((1, 1), "1", {"P": "0"}, {}, {},
+     "receiver paper '0' != message '1'", "0", "0", "0"),
+    ((1, 1), "1", {"M": "1"}, {}, {},
+     "cross-branch memory: receiver memory '1' != '0'", "1", "1", "0"),
+    ((1, 1), "1", {"F": "1"}, {}, {},
+     "receiver friend '1' != expected '0'", "1", "0", "0"),
+    ((1, 1), "1", {"Q": "1"}, {}, {},
+     "receiver qubit '1' != '0'", "1", "0", "0"),
+    ((1, 1), "1", {}, {"P": "1"}, {},
+     "sender paper '1' is not blank", "1", "0", "1"),
+    ((1, 1), "1", {}, {"M": "1"}, {},
+     "sender memory '1' is not cleared", "1", "0", "0"),
+    ((1, 1), "1", {}, {}, {"sender_friend": "0"},
+     "sender friend '1' != expected '0'", "1", "0", "0"),
+    # the first failing clause names the verdict
+    ((1, 1), "1", {"P": "0", "M": "1"}, {"P": "1"}, {},
+     "receiver paper '0' != message '1'", "0", "1", "1"),
+    ((1, 1), "0", {"F": "1"}, {"M": "1"}, {"sender_friend": "0"},
+     "receiver friend '1' != expected '0'", "0", "0", "0"),
+    # n = 3, a 2-bit friend resting in 01 and steered to 10
+    ((3, 2), "101", {"P": "100"}, {}, {"receiver_friend": "01", "sender_friend": "10"},
+     "receiver paper '100' != message '101'", "100", "000", "000"),
+    ((3, 2), "101", {"M": "010"}, {}, {"receiver_friend": "01", "sender_friend": "10"},
+     "cross-branch memory: receiver memory '010' != '000'", "101", "010", "000"),
+    ((3, 2), "101", {"F": "11"}, {}, {"receiver_friend": "01", "sender_friend": "10"},
+     "receiver friend '11' != expected '01'", "101", "000", "000"),
+    ((3, 2), "101", {"F": "01"}, {}, {},
+     "receiver friend '01' != expected '00'", "101", "000", "000"),
+    ((3, 2), "101", {"Q": "1"}, {}, {"receiver_friend": "01", "sender_friend": "10"},
+     "receiver qubit '1' != '0'", "101", "000", "000"),
+    ((3, 2), "101", {}, {"P": "001"}, {"receiver_friend": "01", "sender_friend": "10"},
+     "sender paper '001' is not blank", "101", "000", "001"),
+    ((3, 2), "101", {}, {"M": "110"}, {"receiver_friend": "01", "sender_friend": "10"},
+     "sender memory '110' is not cleared", "101", "000", "000"),
+    ((3, 2), "101", {}, {"F": "00"}, {"receiver_friend": "01", "sender_friend": "10"},
+     "sender friend '00' != expected '10'", "101", "000", "000"),
+    ((3, 2), "000", {"M": "111"}, {"P": "111"}, {"receiver_friend": "01"},
+     "cross-branch memory: receiver memory '111' != '000'", "000", "111", "111"),
+    # layouts that are not protocol_layout's: a register value is compared
+    # as a bit-string, so a width that differs never matches
+    ((("Q", 2), ("R", 1), ("F", 1), ("M", 1), ("P", 1)), "1", {"Q": "00"}, {"Q": "11"}, {},
+     "receiver qubit '00' != '0'", "1", "0", "0"),
+    ((("Q", 1), ("R", 1), ("F", 1), ("M", 2), ("P", 3)), "01", {"P": "001"}, {"P": "000"}, {},
+     "receiver paper '001' != message '01'", "001", "00", "000"),
+    ((("Q", 1), ("R", 1), ("F", 1), ("M", 2), ("P", 1)), "00", {"P": "0"}, {"P": "0"}, {},
+     "receiver paper '0' != message '00'", "0", "00", "0"),
+]
+
+
+def _completed_run_state(widths, message, receiver, sender):
+    """Two-term state shaped like a completed run on `widths`, with the
+    receiver (R=0) and sender (R=1) terms' registers overridden. The
+    friend rests in all zeros and is steered to all ones, or at width 2
+    rests in 01 and is steered to 10."""
+    if isinstance(widths[0], tuple):
+        layout = RegisterLayout(widths)
+    else:
+        layout = protocol_layout(*widths)
+    blank = {name: "0" * width for name, width in layout.registers}
+    a = {**blank, "P": message if layout.width("P") == len(message) else blank["P"]}
+    b = {**blank, "Q": "1", "R": "1", "F": "1" * layout.width("F")}
+    if layout.width("F") == 2:
+        a["F"], b["F"] = "01", "10"
+    return two_term_state(layout, {**a, **receiver}, {**b, **sender})
+
+
+@pytest.mark.parametrize("case", PINNED_FAILURES)
+def test_failure_verdicts_are_pinned(case):
+    widths, bits, receiver, sender, friends, reason, r_paper, r_memory, s_paper = case
+    state = _completed_run_state(widths, bits, receiver, sender)
+    verdict = evaluate_transfer(state, Message(bits), **friends)
+    assert verdict == TransferVerdict(False, r_paper, r_memory, s_paper, reason)
+    assert verdict.note is None
+
+
+def test_structural_failure_verdicts_are_pinned():
+    """The clauses read before any register: branch count, classical
+    branches and the R values; each leaves every register field None."""
+    layout = protocol_layout(1)
+    found_one = make_basis_state(layout, dict(ZEROS, P="1"))
+    dust_only = StateVector(layout, support={3: ZERO_TOL, 20: -0.5j * ZERO_TOL})
+    sender_mixed = {
+        layout.index_for(dict(ZEROS, P="1")): 0.5,
+        layout.index_for(ONES_SENT): 0.5,
+        layout.index_for(dict(ONES_SENT, M="1")): 0.5,
+        layout.index_for(dict(ONES_SENT, P="1")): 0.5,
+    }
+    both_mixed = {**sender_mixed, layout.index_for(ZEROS): 0.5}
+    wide_r = RegisterLayout((("Q", 1), ("R", 2), ("F", 1), ("M", 1), ("P", 1)))
+    r_00_01 = two_term_state(
+        wide_r, dict(ZEROS, R="00", P="1"), dict(ONES_SENT, R="01"),
+    )
+    cases = [
+        (found_one, "expected exactly two branches on R, found 1"),
+        (dust_only, "expected exactly two branches on R, found 0"),
+        (StateVector(layout, support=sender_mixed),
+         "non-classical branch: R=1 component is not a single basis state"),
+        (StateVector(layout, support=both_mixed),
+         "non-classical branch: R=0 component is not a single basis state"),
+        (r_00_01, "branch labels ['00', '01'] do not cover R=0 and R=1"),
+    ]
+    for state, reason in cases:
+        verdict = evaluate_transfer(state, Message("1"))
+        assert verdict == TransferVerdict(False, failure_reason=reason)
+        assert (verdict.receiver_paper, verdict.receiver_memory, verdict.sender_paper,
+                verdict.note) == (None, None, None, None)
 
 
 def test_verdict_invariant():

@@ -2,6 +2,7 @@ import dataclasses
 import itertools
 import math
 import re
+import struct
 import tracemalloc
 
 import numpy as np
@@ -23,6 +24,7 @@ from branchcomm.statevec import (
     GateOp,
     RegisterLayout,
     StateVector,
+    _compile_entry,
     apply_circuit,
     fidelity,
     gate_matrix,
@@ -212,6 +214,73 @@ def test_negative_zero_amplitude_keeps_its_sign():
     negative = build_protocol_circuit(ProtocolConfig(n=1, amp0=1.0, amp1=-0.0))
     assert math.copysign(1, positive.ops[0].angle) == 1
     assert math.copysign(1, negative.ops[0].angle) == -1
+
+
+
+def _support_bytes(support):
+    """A support dict's entries in order, each amplitude as its IEEE bytes,
+    so a signed zero differs from an unsigned one."""
+    return [(i, struct.pack("<2d", a.real, a.imag)) for i, a in support.items()]
+
+
+def _probe_supports(layout, rng):
+    """A few supports to run a kernel on: the all-zero and all-one indices,
+    random indices with random amplitudes, signed zeros among them, and a
+    pair of indices that differ in one bit only."""
+    total, top = layout.total_qubits, layout.dim - 1
+    picks = [int(rng.integers(0, 1 << 62)) % layout.dim for _ in range(6)]
+    values = [complex(*rng.normal(size=2)) for _ in picks]
+    values[1], values[2] = complex(-0.0, 0.0), complex(0.0, -0.0)
+    low = picks[0] & ~(1 << (total - 1))
+    return [
+        {0: 1 + 0j},
+        {top: -1j, 0: 0.5 + 0j},
+        dict(zip(picks, values)),
+        {low: complex(-0.0, -0.0), low | 1 << (total - 1): -0.25 + 0j},
+    ]
+
+
+def _encoder_index(circuit):
+    (e,) = [i for i, op in enumerate(circuit.ops) if op.kind is GateKind.ENCODE_MU]
+    return e
+
+
+def test_derived_kernels_match_freshly_compiled_ones():
+    """A kernel Circuit._derive builds from its template's family gives, bit
+    for bit, what _compile_entry builds from the derived op alone: for every
+    message with n <= 3, random 64-bit payloads, the wide-friend layouts and
+    RY angles with cos(angle / 2) < 0 or a negative zero."""
+    rng = np.random.default_rng(2029)
+    cases = []  # (circuit, index of a derived op)
+    for n in (1, 2, 3):
+        for message in all_messages(n):
+            for amps in ((SQRT_HALF, SQRT_HALF), (0.6, 0.8), (1.0, -0.0), (0.0, 1.0)):
+                circuit = build_protocol_circuit(ProtocolConfig(n, *amps), message)
+                cases += [(circuit, i) for i, op in enumerate(circuit.ops)
+                          if op.kind in (GateKind.ENCODE_MU, GateKind.RY)]
+    for _ in range(8):
+        message = Message(format(int(rng.integers(0, 1 << 62)) << 2 | 3, "064b"))
+        circuit = build_protocol_circuit(ProtocolConfig(64, 0.6, 0.8), message)
+        cases += [(circuit, 0), (circuit, _encoder_index(circuit))]
+    for friend0, friend1 in (("01", "10"), ("1011", "1011"), ("0101110101", "1101100100")):
+        for message in all_messages(2):
+            circuit = build_protocol_circuit(ProtocolConfig(2), message, friend0, friend1)
+            cases.append((circuit, _encoder_index(circuit)))
+    # The protocol's amplitudes give angles in [0, pi]; past pi, cos(angle / 2) < 0.
+    template, _ = protocol._shared_parts(2, "0", "1", True, True, True)
+    for angle in (math.pi + 0.25, 1.5 * math.pi, -1.5 * math.pi, 5.0, 2 * math.pi, -0.0):
+        assert math.cos(angle / 2) < 0 or angle == 0
+        cases.append((template._derive({0: angle}), 0))
+
+    for circuit, i in cases:
+        op, total = circuit.ops[i], circuit.layout.total_qubits
+        assert op.kind in (GateKind.ENCODE_MU, GateKind.RY)
+        fresh = _compile_entry(op, total)
+        for support in _probe_supports(circuit.layout, rng):
+            derived_out = circuit._kernels[i](dict(support))
+            assert _support_bytes(derived_out) == _support_bytes(fresh(dict(support))), (
+                op, support,
+            )
 
 
 def test_wide_friend_ops_are_message_independent():

@@ -136,6 +136,29 @@ def test_parse_qasm_rejects_unknown_lines():
         parse_qasm("h q[0];\n")  # no qreg declared
 
 
+
+@pytest.mark.parametrize("line", ["measurex q[0];", "includes x;", "barrierfoo;", "cregistry;"])
+def test_parse_qasm_matches_skipped_statements_by_whole_word(line):
+    """A line that only starts with a skipped statement's keyword is not
+    that statement, so it is refused like any other unknown line."""
+    text = f"qreg q[2];\nh q[0];\n{line}\nx q[1];\n"
+    with pytest.raises(ValueError) as info:
+        parse_qasm(text)
+    assert str(info.value) == f"unsupported line in qasm text: {line!r}"
+
+
+@pytest.mark.parametrize("measure", [False, True])
+def test_emitted_qasm_parses_with_and_without_measure(measure):
+    config, message = ProtocolConfig(n=3), Message("101")
+    circuit = build_protocol_circuit(config, message)
+    text = to_qasm(circuit, measure=measure)
+    total, ops = parse_qasm(text + "barrier q[0], q[1];\nbarrier;\n")
+    assert total == circuit.layout.total_qubits
+    assert len(ops) == sum(gate_histogram(text)[g] for g in ("h", "x", "cx"))
+    final = run_protocol(config, message).final
+    assert np.array_equal(simulate_qasm(text).amplitudes, final.amplitudes)
+
+
 def test_parse_qasm_rejects_a_gate_before_qreg():
     with pytest.raises(ValueError, match="before the qreg"):
         parse_qasm("h q[0];\nqreg q[2];\ncx q[0], q[1];\n")
