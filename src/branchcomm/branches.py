@@ -78,10 +78,7 @@ def decompose_by_register(state: StateVector, register: str) -> list[Branch]:
             amplitude = complex(l2_norm(amps))
             local_state = None
             label = layout.value_of(indices[0], register)
-        branches.append(_trusted(Branch, {
-            "label": label, "amplitude": amplitude, "local_state": local_state,
-            "layout": layout, "indices": indices, "values": amps,
-        }))
+        branches.append(Branch(label, amplitude, local_state, layout, indices, amps))
     return branches
 
 

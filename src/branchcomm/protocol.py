@@ -106,7 +106,9 @@ class ProtocolConfig:
     """Parameters of one protocol run.
 
     Amplitudes are restricted to real non-negative values normalized to
-    |amp0|^2 + |amp1|^2 = 1 within 1e-12.
+    |amp0|^2 + |amp1|^2 = 1 within 1e-12. Each flag must be a Python bool,
+    not a truthy stand-in such as 'False' or a numpy bool, which the run
+    document could not write as JSON true or false.
     """
 
     n: int = 1
@@ -125,6 +127,10 @@ class ProtocolConfig:
                 raise ValueError(f"{name} must be a finite real, got {amp!r}")
             if amp < 0:
                 raise ValueError(f"{name} must be non-negative, got {amp}")
+        if type(self.uncompute_memory) is not bool:
+            raise ValueError(f"uncompute_memory must be a bool, got {self.uncompute_memory!r}")
+        if type(self.apply_branch_swap) is not bool:
+            raise ValueError(f"apply_branch_swap must be a bool, got {self.apply_branch_swap!r}")
         total = self.amp0 * self.amp0 + self.amp1 * self.amp1
         if abs(total - 1.0) > AMP_TOL:
             raise ValueError(
@@ -196,8 +202,7 @@ def build_protocol_circuit(
 
     rotated = abs(config.amp0 - config.amp1) > AMP_TOL
     template, e = _shared_parts(
-        n, friend0, friend1, bool(config.uncompute_memory), bool(config.apply_branch_swap),
-        rotated,
+        n, friend0, friend1, config.uncompute_memory, config.apply_branch_swap, rotated,
     )
     parameters: dict[int, str | float] = {e: payload}
     if rotated:

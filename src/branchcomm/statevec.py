@@ -53,9 +53,9 @@ cached, since a RegisterLayout is immutable, and zero_state holds
 A value object whose fields have all passed its constructor's checks
 already is built by _trusted, which skips the constructor: the copies
 GateOp._derive and Circuit._derive make, and in protocol and branches a
-ProtocolRun, each Branch and a success verdict. _state wraps a kernel's
-output the same way, writing its three fields itself. Every public
-constructor keeps all its checks.
+ProtocolRun and a success verdict. _state wraps a kernel's output the
+same way, writing its three fields itself. Every public constructor keeps
+all its checks.
 
 H and RY mix the two values of one qubit: each (i, i|t) pair with a listed
 entry goes through _mix on Python complex scalars, an unlisted partner read
@@ -226,19 +226,11 @@ class RegisterLayout:
         _, _, shift, mask, spec = self._entry(name)
         return format((index >> shift) & mask, spec)
 
-    @cached_property
-    def _slices(self) -> tuple[tuple[str, ...], str, tuple[slice, ...]]:
-        """Register names, the format spec of a whole index, and each
-        register's slice of that text, in layout order."""
-        spans = tuple(slice(off, off + w) for off, w, *_ in self._offsets.values())
-        return tuple(self._offsets), f"0{self.total_qubits}b", spans
-
     def assignment_of(self, index: int) -> dict[str, str]:
         """Bit-string of every register at a global basis index, layout order."""
         if not 0 <= index < self.dim:
             raise ValueError(f"basis index {index} out of range for {self.total_qubits} qubits")
-        names, spec, spans = self._slices
-        return dict(zip(names, map(format(index, spec).__getitem__, spans)))
+        return {name: self.value_of(index, name) for name in self.names}
 
 
 @lru_cache(maxsize=128)

@@ -3,11 +3,19 @@
 Each suite returns ClaimReports with measured tolerances so callers can
 render pass/fail lines or serialize the evidence. Suite names are stable
 CLI identifiers.
+
+Every input a suite checks is enumerated, never drawn, so the same cases
+are checked under every numpy version (numpy does not keep its random
+streams stable); this module imports no numpy. theorem1 checks every
+message up to n = 3 and 12 per width for n = 4..8, blank to all-ones;
+lemma1 every nonblank value up to n = 4 and 10 from 1 to 2^n - 1 at n = 5
+and 6; corollary2 20 preparations (cos phi, sin phi), phi evenly spaced
+over [0.05, pi/2 - 0.05], while n and the message value cycle.
 """
 
 from __future__ import annotations
 
-import numpy as np
+import math
 
 from .branches import verify_transfer
 from .nogo import (
@@ -28,28 +36,29 @@ from .statevec import GateKind, fidelity
 
 SUITE_NAMES = ("theorem1", "corollary1", "lemma1", "corollary2")
 
-_SAMPLE_SEED = 20240917
-
 _EXHAUSTIVE_MAX_N = 3
 _SAMPLED_NS = (4, 5, 6, 7, 8)
 _SAMPLES_PER_N = 12
 _MU_INDEPENDENCE_MAX_N = 4
 _COROLLARY1_MAX_N = 3
-_RANDOM_DRAWS = 20
+_PREPARATIONS = 20
 
 
-def _all_messages(n: int, nonblank: bool = False) -> list[Message]:
-    start = 1 if nonblank else 0
-    return [Message(format(v, f"0{n}b")) for v in range(start, 1 << n)]
+def _spread(low: int, high: int, count: int) -> list[int]:
+    """`count` evenly spaced integers from `low` to `high`, both included."""
+    return [low + (high - low) * i // (count - 1) for i in range(count)]
+
+
+def _messages(n: int, values: range | list[int]) -> list[Message]:
+    """The n-bit messages whose integer values are listed, in that order."""
+    return [Message(format(value, f"0{n}b")) for value in values]
 
 
 def _transfer_report() -> ClaimReport:
-    exhaustive = [m for n in range(1, _EXHAUSTIVE_MAX_N + 1) for m in _all_messages(n)]
-    rng = np.random.default_rng(_SAMPLE_SEED)
+    exhaustive = [m for n in range(1, _EXHAUSTIVE_MAX_N + 1) for m in _messages(n, range(1 << n))]
     sampled = [
-        Message(format(int(value), f"0{n}b"))
-        for n in _SAMPLED_NS
-        for value in rng.integers(0, 1 << n, size=_SAMPLES_PER_N)
+        m for n in _SAMPLED_NS
+        for m in _messages(n, _spread(0, (1 << n) - 1, _SAMPLES_PER_N))
     ]
     failures: list[str] = []
     for message in exhaustive + sampled:
@@ -93,7 +102,7 @@ def _mu_independence_report() -> ClaimReport:
     for n in range(1, _MU_INDEPENDENCE_MAX_N + 1):
         config = ProtocolConfig(n=n)
         base = build_protocol_circuit(config).ops
-        for message in _all_messages(n):
+        for message in _messages(n, range(1 << n)):
             ops = build_protocol_circuit(config, message).ops
             if len(ops) != len(base):
                 mismatches.append(f"n={n} mu={message.bits}: op count changed")
@@ -124,7 +133,7 @@ def corollary1_suite() -> list[ClaimReport]:
     min_fidelity = 1.0
     failures: list[str] = []
     for n in range(1, _COROLLARY1_MAX_N + 1):
-        for message in _all_messages(n, nonblank=True):
+        for message in _messages(n, range(1, 1 << n)):
             final, verdict = run_no_uncompute_variant(message)
             checked += 1
             reference = checkpoint_reference_state(
@@ -162,28 +171,22 @@ def lemma1_suite() -> list[ClaimReport]:
     for n in (2, 3, 4):
         reports.append(memory_swap_report(n, range(1, 1 << n)))
     for n in (5, 6):
-        picks = np.random.default_rng(_SAMPLE_SEED + n).choice(
-            (1 << n) - 1, size=10, replace=False
-        )
-        reports.append(memory_swap_report(n, (picks + 1).tolist()))
+        reports.append(memory_swap_report(n, _spread(1, (1 << n) - 1, 10)))
     return reports
 
 
 def corollary2_suite() -> list[ClaimReport]:
     reports = [
-        verify_amplitude_immutability(np.sqrt(1 / 3), np.sqrt(2 / 3), Message("1"))
+        verify_amplitude_immutability(math.sqrt(1 / 3), math.sqrt(2 / 3), Message("1"))
     ]
-    rng = np.random.default_rng(_SAMPLE_SEED)
     max_magnitude_delta = 0.0
     max_exchange_delta = 0.0
     failures = 0
-    for _ in range(_RANDOM_DRAWS):
-        phi = rng.uniform(0.05, np.pi / 2 - 0.05)
-        n = int(rng.integers(1, 4))
-        value = int(rng.integers(1, 1 << n))
-        report = verify_amplitude_immutability(
-            float(np.cos(phi)), float(np.sin(phi)), Message(format(value, f"0{n}b"))
-        )
+    for i in range(_PREPARATIONS):
+        phi = 0.05 + (math.pi / 2 - 0.1) * i / (_PREPARATIONS - 1)
+        n = 1 + i % 3
+        (message,) = _messages(n, [1 + (i // 3) % ((1 << n) - 1)])
+        report = verify_amplitude_immutability(math.cos(phi), math.sin(phi), message)
         max_magnitude_delta = max(
             max_magnitude_delta, report.measurements["magnitude_delta"]
         )
@@ -198,7 +201,7 @@ def corollary2_suite() -> list[ClaimReport]:
                 "randomized preparations: the swap exchanges branch weights "
                 "and never alters the paper component's magnitude"
             ),
-            parameters={"random_draws": _RANDOM_DRAWS, "seed": _SAMPLE_SEED},
+            parameters={"preparations": _PREPARATIONS},
             measurements={
                 "max_magnitude_delta": max_magnitude_delta,
                 "max_exchange_delta": max_exchange_delta,

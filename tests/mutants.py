@@ -229,6 +229,13 @@ MUTANTS = (
         ),
     ),
     Mutant(
+        "a multi-control flip fires when any control is set",
+        "branchcomm/statevec.py",
+        "if index & cmask == cmask:",
+        "if not cmask or index & cmask:",
+        ("tests/test_statevec.py::test_gate_matrix_matches_oracle_matrix[op6]",),
+    ),
+    Mutant(
         "an RY angle need only be real, not finite",
         "branchcomm/statevec.py",
         "if not (_real(angle) and math.isfinite(angle)):",
@@ -266,6 +273,16 @@ MUTANTS = (
         "value = int(bits, 2)",
         (
             "tests/test_branches.py::test_malformed_register_values_fail_alike_in_both_forms",
+        ),
+    ),
+    Mutant(
+        "the suites' evenly spaced inputs stop short of their top end",
+        "branchcomm/suites.py",
+        "(high - low) * i // (count - 1)",
+        "(high - low) * i // count",
+        (
+            "tests/test_suites.py::test_theorem1_checks_the_pinned_messages",
+            "tests/test_suites.py::test_lemma1_checks_the_pinned_values",
         ),
     ),
     Mutant(

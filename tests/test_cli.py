@@ -559,9 +559,8 @@ the transfer predicate fails (checked=11, min_reference_fidelity=1.000e+00)
 suite 'corollary1': 1/1 claims verified
 """
 
-# The randomized claim's deltas print as 0.000e+00 whichever preparations
-# numpy draws, so this text is pinned, unlike the digests of
-# tests/test_cli_bytes.py.
+# The second claim runs the 20 enumerated preparations that
+# tests/test_suites.py pins; its deltas print as 0.000e+00 on each.
 COROLLARY2_STDOUT = """\
 [PASS] the branch swap relabels branches but cannot change the paper-carrying \
 component's amplitude (paper_component_magnitude_pre_swap=8.165e-01, \

@@ -69,6 +69,17 @@ def test_config_validation():
             ProtocolConfig(amp0=amp0, amp1=amp1)
 
 
+@pytest.mark.parametrize("field", ["uncompute_memory", "apply_branch_swap"])
+def test_config_flags_must_be_bools(field):
+    for flag in (True, False):
+        assert getattr(ProtocolConfig(n=2, **{field: flag}), field) is flag
+    # A numpy bool is refused like any other stand-in: the run document
+    # writes each flag as JSON true or false.
+    for bad in ("False", "no", None, 0, 1, np.bool_(True), np.bool_(False)):
+        with pytest.raises(ValueError, match=re.escape(f"{field} must be a bool, got {bad!r}")):
+            ProtocolConfig(n=2, **{field: bad})
+
+
 def test_config_width_accepts_numpy_integers():
     for width in (np.int64(3), np.uint8(3)):
         config = ProtocolConfig(n=width)

@@ -601,6 +601,8 @@ def test_gate_matrix_against_kron_oracle():
         GateOp.encode("11", (0, 2), control=1),
         GateOp.transversal_cnot((0, 1), (2, 3)),
         GateOp.multi_x((1, 3)),
+        # Two controls: the flip fires only where both are set.
+        GateOp(GateKind.ENCODE_MU, (1, 3), (0, 2), payload="11"),
     ],
 )
 def test_gate_matrix_matches_oracle_matrix(op):
