@@ -9,8 +9,9 @@ Three obstructions are implemented and measured here.
 
 * Any unitary that swaps a blank memory with a written one must depend on
   the message it preserves: construct_G returns the canonical such swap for
-  a fixed message, a read-only complex128 matrix (dense, so limited to
-  GATE_MATRIX_QUBIT_LIMIT message bits), and memory_swap_report checks it.
+  a fixed message as its map on basis indices (G is a permutation; one entry
+  per basis state, so limited to GATE_MATRIX_QUBIT_LIMIT message bits), and
+  memory_swap_report checks that map exactly, entry by entry.
   witness_mu_dependence measures the pairwise distance
   ||G(mu1)|0> - G(mu2)|0>|| = sqrt(2) over all distinct message pairs,
   certifying no single message-independent G exists.
@@ -24,10 +25,8 @@ from __future__ import annotations
 
 import itertools
 import math
-from collections.abc import Callable, Sequence
+from collections.abc import Sequence
 from dataclasses import dataclass
-
-import numpy as np
 
 from .branches import (
     TransferVerdict,
@@ -59,15 +58,15 @@ class ClaimReport:
         }
 
 
-def construct_G(mu: Message) -> np.ndarray:
+def construct_G(mu: Message) -> tuple[int, ...]:
     """Canonical memory swap G(mu) = |mu><0| + |0><mu| + sum_j |j><j|.
 
-    The sum runs over j not in {0, k}, k = int(mu), so G is the
-    2^n-dimensional identity with rows 0 and k swapped, returned as a dense,
-    read-only complex128 array. Messages wider than GATE_MATRIX_QUBIT_LIMIT
-    bits are rejected before anything is allocated. Blank messages are
-    rejected: swapping the blank state with itself is vacuous and leaves the
-    lemma nothing to say.
+    The sum runs over j not in {0, k}, k = int(mu), so G exchanges the basis
+    states 0 and k and fixes the rest. It is returned as its map on basis
+    indices: a tuple p of length 2^n with G|j> = |p[j]>. Messages wider than
+    GATE_MATRIX_QUBIT_LIMIT bits are rejected before anything is allocated.
+    Blank messages are rejected: swapping the blank state with itself is
+    vacuous and leaves the lemma nothing to say.
     """
     if mu.blank:
         raise ValueError("memory swap is only defined for nonblank messages")
@@ -77,10 +76,9 @@ def construct_G(mu: Message) -> np.ndarray:
             f"message bits; message has {mu.n}"
         )
     k = int(mu.bits, 2)
-    matrix = np.eye(1 << mu.n, dtype=np.complex128)
-    matrix[[0, k]] = matrix[[k, 0]]
-    matrix.setflags(write=False)
-    return matrix
+    images = list(range(1 << mu.n))
+    images[0], images[k] = k, 0
+    return tuple(images)
 
 
 def run_no_uncompute_variant(message: Message) -> tuple[StateVector, TransferVerdict]:
@@ -96,18 +94,25 @@ def run_no_uncompute_variant(message: Message) -> tuple[StateVector, TransferVer
     return run.final, verify_transfer(run, message)
 
 
-def _deviation(got: np.ndarray, want: np.ndarray) -> float:
-    """Largest entrywise |got - want|: how far a measured G property is from exact."""
-    return float(np.max(np.abs(got - want)))
+def _permutation(mu: Message) -> tuple[int, ...] | None:
+    """construct_G(mu) as a tuple if it permutes range(2^n), else None.
 
-
-def _fold(pick: Callable[[Sequence[float]], float], *values: float) -> float:
-    """pick (max or min) of the values, or NaN if any of them is NaN.
-
-    max() and min() keep their running value when the next one is NaN, so a
-    G holding a NaN would otherwise read as exact and pass.
+    A map of basis states to basis states is unitary exactly when it is a
+    permutation: G^T G has a 1 off its diagonal wherever two images collide.
+    Each image must be an int; a bool or a float is refused, since True == 1
+    and 1.0 == 1 would otherwise compare as exact.
     """
-    return math.nan if any(map(math.isnan, values)) else pick(values)
+    dim = 1 << mu.n
+    images = construct_G(mu)
+    if (
+        len(images) == dim
+        and set(map(type, images)) == {int}
+        and 0 <= min(images)
+        and max(images) < dim
+        and len(set(images)) == dim
+    ):
+        return tuple(images)
+    return None
 
 
 def witness_mu_dependence(n: int) -> ClaimReport:
@@ -120,27 +125,24 @@ def witness_mu_dependence(n: int) -> ClaimReport:
     """
     if not 1 <= n <= WITNESS_N_LIMIT:
         raise ValueError(f"witness is dense and limited to n <= {WITNESS_N_LIMIT}")
-    eye = np.eye(1 << n, dtype=np.complex128)
 
-    images: list[tuple[int, np.ndarray]] = []
+    images: list[tuple[int, int | None]] = []
     max_unitarity_dev = 0.0
     for value in range(1, 1 << n):
-        g = construct_G(Message(format(value, f"0{n}b")))
-        max_unitarity_dev = _fold(max, max_unitarity_dev, _deviation(g.conj().T @ g, eye))
-        images.append((value, g @ eye[0]))
+        p = _permutation(Message(format(value, f"0{n}b")))
+        max_unitarity_dev = max(max_unitarity_dev, float(p is None))
+        images.append((value, None if p is None else p[0]))
 
-    sqrt2 = np.sqrt(2.0)
+    sqrt2 = math.sqrt(2.0)
     pairs = 0
     max_distance_dev = 0.0
-    min_distance = np.inf
+    min_distance = math.inf
     for (value1, image1), (value2, image2) in itertools.combinations(images, 2):
         pairs += 1
-        dist = float(np.linalg.norm(image1 - image2))
-        direct = float(np.linalg.norm(eye[value1] - eye[value2]))
-        max_distance_dev = _fold(
-            max, max_distance_dev, abs(dist - sqrt2), abs(direct - sqrt2)
-        )
-        min_distance = _fold(min, min_distance, dist)
+        dist = sqrt2 if image1 != image2 else 0.0
+        direct = sqrt2 if value1 != value2 else 0.0
+        max_distance_dev = max(max_distance_dev, abs(dist - sqrt2), abs(direct - sqrt2))
+        min_distance = min(min_distance, dist)
 
     measurements: dict = {
         "messages": len(images),
@@ -167,11 +169,11 @@ def witness_mu_dependence(n: int) -> ClaimReport:
 def memory_swap_report(n: int, values: Sequence[int]) -> ClaimReport:
     """Check G(mu) for each nonblank n-bit message whose integer value is listed.
 
-    Each G must be unitary and self-inverse, and must equal the identity
-    with rows 0 and int(mu) exchanged: it swaps the blank memory with the
-    message and fixes every other basis state. A width past
-    GATE_MATRIX_QUBIT_LIMIT or a value outside 1..2^n - 1 raises ValueError
-    before any matrix is built.
+    Each G must be unitary and self-inverse, and must map 0 to int(mu) and
+    int(mu) to 0: it swaps the blank memory with the message and fixes every
+    other basis state. A map that does not permute range(2^n) fails all
+    three checks. A width past GATE_MATRIX_QUBIT_LIMIT or a value outside
+    1..2^n - 1 raises ValueError before any map is built.
     """
     if not 1 <= n <= GATE_MATRIX_QUBIT_LIMIT:
         raise ValueError(
@@ -181,14 +183,16 @@ def memory_swap_report(n: int, values: Sequence[int]) -> ClaimReport:
     for value in values:
         if not 1 <= value < dim:
             raise ValueError(f"message value {value} out of range 1..{dim - 1} for n = {n}")
-    eye = np.eye(dim, dtype=np.complex128)
+    identity = tuple(range(dim))
     max_unitarity = max_self_inverse = max_action = 0.0
     for value in values:
-        g = construct_G(Message(format(value, f"0{n}b")))
-        swapped = eye[[value, *range(1, value), 0, *range(value + 1, dim)]]
-        max_unitarity = _fold(max, max_unitarity, _deviation(g.conj().T @ g, eye))
-        max_self_inverse = _fold(max, max_self_inverse, _deviation(g @ g, eye))
-        max_action = _fold(max, max_action, _deviation(g, swapped))
+        p = _permutation(Message(format(value, f"0{n}b")))
+        swapped = (value, *range(1, value), 0, *range(value + 1, dim))
+        max_unitarity = max(max_unitarity, float(p is None))
+        max_self_inverse = max(
+            max_self_inverse, float(p is None or tuple(map(p.__getitem__, p)) != identity)
+        )
+        max_action = max(max_action, float(p != swapped))
     return ClaimReport(
         claim=(
             "each memory swap is unitary, self-inverse, and exchanges the "
@@ -200,7 +204,7 @@ def memory_swap_report(n: int, values: Sequence[int]) -> ClaimReport:
             "max_self_inverse_deviation": max_self_inverse,
             "max_action_deviation": max_action,
         },
-        passed=_fold(max, max_unitarity, max_self_inverse, max_action) <= 1e-12,
+        passed=max(max_unitarity, max_self_inverse, max_action) <= 1e-12,
     )
 
 

@@ -163,6 +163,16 @@ def random_circuit(
     return Circuit(layout, tuple(ops))
 
 
+def dense_G(images) -> np.ndarray:
+    """The dense complex128 matrix of a map on basis indices: column j holds
+    a 1 in row images[j], so that G|j> = |images[j]>."""
+    dim = len(images)
+    matrix = np.zeros((dim, dim), dtype=np.complex128)
+    for j, image in enumerate(images):
+        matrix[image, j] = 1.0
+    return matrix
+
+
 def gram_schmidt_G(bits: str) -> np.ndarray:
     """Memory swap |mu><0| + |0><mu| + sum_j |e_j><e_j|, by construction.
 

@@ -95,31 +95,38 @@ MUTANTS = (
         ),
     ),
     Mutant(
-        "construct_G swaps row 0 with k xor 1",
+        "construct_G swaps the blank state with k xor 1",
         "branchcomm/nogo.py",
-        "k = int(mu.bits, 2)\n",
-        "k = int(mu.bits, 2) ^ 1\n",
+        "images[0], images[k] = k, 0",
+        "images[0], images[k ^ 1] = k ^ 1, 0",
         (
             "tests/test_nogo.py::test_construct_G_single_bit_is_bit_flip",
             "tests/test_nogo.py::test_construct_G_two_bits_swaps_blank_with_message",
         ),
     ),
     Mutant(
-        "the memory swap's action is checked against the plain identity",
+        "the memory swap's action is checked against the identity map",
         "branchcomm/nogo.py",
-        "max_action = _fold(max, max_action, _deviation(g, swapped))",
-        "max_action = _fold(max, max_action, _deviation(g, eye))",
+        "max_action = max(max_action, float(p != swapped))",
+        "max_action = max(max_action, float(p != identity))",
         (
             "tests/test_nogo.py::test_memory_swap_report_checks_each_listed_message",
             "tests/test_cli.py::test_verify_single_suites_pass[lemma1]",
         ),
     ),
     Mutant(
-        "the lemma 1 reports fold with plain max() and min(), which drop a NaN",
+        "unitarity is read from the map's length, not its distinct images",
         "branchcomm/nogo.py",
-        "return math.nan if any(map(math.isnan, values)) else pick(values)",
-        "return pick(values)",
-        ("tests/test_nogo.py::test_a_nan_in_G_fails_both_lemma1_reports",),
+        "and len(set(images)) == dim",
+        "and len(images) == dim",
+        ("tests/test_nogo.py::test_a_malformed_map_fails_both_lemma1_reports[repeated image]",),
+    ),
+    Mutant(
+        "nogo imports numpy again",
+        "branchcomm/nogo.py",
+        "import itertools\n",
+        "import itertools\nimport numpy as np\n",
+        ("tests/test_nogo.py::test_claim_modules_import_no_numpy[nogo]",),
     ),
     Mutant(
         "a protocol run's checkpoints are left writable",

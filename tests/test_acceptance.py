@@ -35,7 +35,7 @@ from branchcomm.statevec import fidelity, protocol_layout
 from branchcomm.suites import run_suite
 from branchcomm.swapsynth import FriendSnapshot, synthesize_swap
 
-from helpers import oracle_apply, oracle_matrix, random_circuit, random_state
+from helpers import dense_G, oracle_apply, oracle_matrix, random_circuit, random_state
 
 SQRT_HALF = math.sqrt(0.5)
 
@@ -192,12 +192,12 @@ def test_criterion_5_memory_swap_is_message_dependent():
         blank = np.zeros(dim, dtype=complex)
         blank[0] = 1.0
         for mu in messages:
-            g = construct_G(mu)
+            g = dense_G(construct_G(mu))
             assert np.max(np.abs(g.conj().T @ g - np.eye(dim))) <= 1e-12
             assert np.max(np.abs(g @ g - np.eye(dim))) <= 1e-12
         for mu1, mu2 in itertools.combinations(messages, 2):
             gap = np.linalg.norm(
-                (construct_G(mu1) - construct_G(mu2)) @ blank
+                (dense_G(construct_G(mu1)) - dense_G(construct_G(mu2))) @ blank
             )
             assert abs(gap - sqrt2) <= 1e-12
     print(

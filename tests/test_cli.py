@@ -583,9 +583,9 @@ SUITE_STDOUT = {
 def test_verify_lemma1_fails_on_a_wrong_memory_swap(capsys, monkeypatch):
     def wrong_swap(mu):
         k = int(mu.bits, 2) ^ 1
-        matrix = np.eye(1 << mu.n, dtype=np.complex128)
-        matrix[[0, k]] = matrix[[k, 0]]
-        return matrix
+        images = list(range(1 << mu.n))
+        images[0], images[k] = k, 0
+        return tuple(images)
 
     monkeypatch.setattr(nogo, "construct_G", wrong_swap)
     code, out, _ = run_cli(capsys, "verify", "--suite", "lemma1")

@@ -1,9 +1,11 @@
+import ast
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from branchcomm import nogo
+from branchcomm import nogo, suites
 from branchcomm.nogo import (
     WITNESS_N_LIMIT,
     ClaimReport,
@@ -21,7 +23,7 @@ from branchcomm.protocol import (
 )
 from branchcomm.statevec import GATE_MATRIX_QUBIT_LIMIT, protocol_layout, zero_state
 
-from helpers import gram_schmidt_G, oracle_apply
+from helpers import dense_G, gram_schmidt_G, oracle_apply
 
 SQRT_HALF = math.sqrt(0.5)
 
@@ -86,16 +88,17 @@ def test_no_uncompute_n2_against_dense_oracle():
 
 def test_construct_G_single_bit_is_bit_flip():
     g = construct_G(Message("1"))
-    assert g.shape == (2, 2)
-    assert np.array_equal(g, np.array([[0, 1], [1, 0]], dtype=complex))
+    assert g == (1, 0)
+    assert np.array_equal(dense_G(g), np.array([[0, 1], [1, 0]], dtype=complex))
 
 
 def test_construct_G_two_bits_swaps_blank_with_message():
     g = construct_G(Message("10"))
+    assert g == (2, 1, 0, 3)
     expected = np.eye(4, dtype=complex)
     expected[[0, 2]] = expected[[2, 0]]
-    assert np.max(np.abs(g - expected)) <= 1e-12
-    assert np.max(np.abs(g @ g - np.eye(4))) <= 1e-12
+    assert np.max(np.abs(dense_G(g) - expected)) <= 1e-12
+    assert np.max(np.abs(dense_G(g) @ dense_G(g) - np.eye(4))) <= 1e-12
 
 
 def test_construct_G_rejects_blank():
@@ -109,11 +112,12 @@ def test_construct_G_matches_gram_schmidt_oracle_bitwise():
     for n in range(1, 7):
         for value in range(1, 1 << n):
             bits = format(value, f"0{n}b")
-            g = construct_G(Message(bits))
+            images = construct_G(Message(bits))
+            assert type(images) is tuple
+            g = dense_G(images)
             oracle = gram_schmidt_G(bits)
             assert g.dtype == oracle.dtype and g.shape == oracle.shape
             assert g.tobytes() == oracle.tobytes(), bits
-            assert not g.flags.writeable
             checked += 1
     assert checked == 120
 
@@ -130,14 +134,14 @@ def test_construct_G_rejects_messages_past_the_dense_limit():
 def test_G_is_unitary_and_self_inverse(n):
     dim = 1 << n
     for value in range(1, dim):
-        g = construct_G(Message(format(value, f"0{n}b")))
+        g = dense_G(construct_G(Message(format(value, f"0{n}b"))))
         assert np.max(np.abs(g.conj().T @ g - np.eye(dim))) <= 1e-12
         assert np.max(np.abs(g @ g - np.eye(dim))) <= 1e-12
 
 
 def test_G_pairs_differ_on_the_blank_state():
-    g1 = construct_G(Message("01"))
-    g2 = construct_G(Message("10"))
+    g1 = dense_G(construct_G(Message("01")))
+    g2 = dense_G(construct_G(Message("10")))
     blank = np.zeros(4, dtype=complex)
     blank[0] = 1.0
     gap = np.linalg.norm((g1 - g2) @ blank)
@@ -154,9 +158,7 @@ def test_memory_swap_report_checks_each_listed_message(monkeypatch):
     assert set(report.measurements.values()) == {0.0}
 
     # The identity is unitary and self-inverse but leaves the memory blank.
-    monkeypatch.setattr(
-        nogo, "construct_G", lambda mu: np.eye(1 << mu.n, dtype=complex)
-    )
+    monkeypatch.setattr(nogo, "construct_G", lambda mu: tuple(range(1 << mu.n)))
     report = memory_swap_report(3, [1, 6])
     assert not report.passed
     assert report.measurements == {
@@ -166,25 +168,37 @@ def test_memory_swap_report_checks_each_listed_message(monkeypatch):
     }
 
 
-def test_a_nan_in_G_fails_both_lemma1_reports(monkeypatch):
-    def nan_at_origin(mu):
-        g = np.array(construct_G(mu))
-        g[0, 0] = np.nan
-        return g
+# Each corrupts one entry of a right map, or its length. A float or bool
+# image still compares equal to the int it replaces, and a negative one
+# still indexes the right entry.
+MALFORMED_MAPS = {
+    "repeated image": lambda p: [*p[:-1], p[-2]],
+    "image past the top": lambda p: [len(p), *p[1:]],
+    "negative image": lambda p: [p[0] - len(p), *p[1:]],
+    "float image": lambda p: [float(p[0]), *p[1:]],
+    "bool image": lambda p: [True if j == 1 else j for j in p],
+    "one image short": lambda p: list(p[:-1]),
+    "one image too many": lambda p: [*p, p[-1]],
+}
 
-    monkeypatch.setattr(nogo, "construct_G", nan_at_origin)
-    report = memory_swap_report(3, [1, 6])
-    assert not report.passed
-    assert all(math.isnan(value) for value in report.measurements.values())
 
-    report = witness_mu_dependence(3)
+@pytest.mark.parametrize("corrupt", MALFORMED_MAPS.values(), ids=MALFORMED_MAPS)
+def test_a_malformed_map_fails_both_lemma1_reports(monkeypatch, corrupt):
+    def malformed(mu):
+        return corrupt(construct_G(mu))
+
+    monkeypatch.setattr(nogo, "construct_G", malformed)
+    report = memory_swap_report(2, [1, 2, 3])
     assert not report.passed
-    for key in (
-        "max_unitarity_deviation",
-        "max_distance_deviation_from_sqrt2",
-        "min_pairwise_distance",
-    ):
-        assert math.isnan(report.measurements[key]), key
+    assert report.measurements == {
+        "max_unitarity_deviation": 1.0,
+        "max_self_inverse_deviation": 1.0,
+        "max_action_deviation": 1.0,
+    }
+
+    report = witness_mu_dependence(2)
+    assert not report.passed
+    assert report.measurements["max_unitarity_deviation"] == 1.0
 
 
 @pytest.mark.parametrize(
@@ -198,11 +212,10 @@ def test_a_nan_in_G_fails_both_lemma1_reports(monkeypatch):
 def test_memory_swap_report_refuses_bad_input_before_building_a_matrix(
     monkeypatch, n, values, text
 ):
-    def no_matrix(*args, **kwargs):
-        raise AssertionError("a matrix was built")
+    def no_map(*args, **kwargs):
+        raise AssertionError("a map was built")
 
-    monkeypatch.setattr(nogo.np, "eye", no_matrix)
-    monkeypatch.setattr(nogo, "construct_G", no_matrix)
+    monkeypatch.setattr(nogo, "construct_G", no_map)
     with pytest.raises(ValueError, match=text):
         memory_swap_report(n, values)
 
@@ -273,3 +286,18 @@ def test_amplitude_immutability_degenerate_amplitudes():
 def test_amplitude_immutability_rejects_blank():
     with pytest.raises(ValueError):
         verify_amplitude_immutability(SQRT_HALF, SQRT_HALF, Message("0"))
+
+
+# --- the claim path holds no arrays ------------------------------------------------
+
+
+@pytest.mark.parametrize("module", [nogo, suites], ids=["nogo", "suites"])
+def test_claim_modules_import_no_numpy(module):
+    imported = []
+    for node in ast.walk(ast.parse(Path(module.__file__).read_text())):
+        if isinstance(node, ast.Import):
+            imported += [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            imported.append(node.module or "")
+    assert imported
+    assert not [name for name in imported if name.split(".")[0] == "numpy"]
