@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Sequence
 
-from .protocol import Message, ProtocolRun
+from .protocol import Message, ProtocolRun, check_message_width
 from .statevec import RegisterLayout, StateVector, _trusted, l2_norm
 
 # Amplitudes below this are numerical dust and are treated as zero.
@@ -211,8 +211,5 @@ def verify_transfer(run: ProtocolRun, message: Message) -> TransferVerdict:
     """Transfer predicate on a completed protocol run (swap required)."""
     if not run.config.apply_branch_swap:
         raise ValueError("transfer verification requires a completed branch swap")
-    if message.n != run.config.n:
-        raise ValueError(
-            f"message width {message.n} != configured width {run.config.n}"
-        )
+    check_message_width(message, run.config.n)
     return evaluate_transfer(run.final, message)

@@ -48,6 +48,10 @@ message. The RY angle is never cached: ProtocolConfig(amp1=0.0) ==
 ProtocolConfig(amp1=-0.0), yet the first prepares with RY(0.0) and the
 second with RY(-0.0), and the JSON export prints that sign.
 
+checkpoint_reference_state holds the paper's equations (2)-(6) and (8) as
+one table of (Q, R, F, M, P) rows and computes their basis indices by
+statevec's index convention, not by the register layout reader.
+
 run_protocol builds its ProtocolRun trusted (statevec._trusted, which skips
 the constructor), around a read-only view of the fresh snapshot dict
 apply_circuit returns, which the public constructor would copy.
@@ -196,8 +200,8 @@ def build_protocol_circuit(
     the encoder, and an RY preparation's angle, are set per call.
     """
     n = config.n
-    if message is not None and message.n != n:
-        raise ValueError(f"message width {message.n} != configured width {n}")
+    if message is not None:
+        check_message_width(message, n)
     payload = message.bits if message is not None else "0" * n
 
     rotated = abs(config.amp0 - config.amp1) > AMP_TOL
@@ -218,18 +222,26 @@ def run_protocol(config: ProtocolConfig, message: Message) -> ProtocolRun:
     return _trusted(ProtocolRun, fields)
 
 
+def check_message_width(message: Message, n: int) -> None:
+    """Refuse a message that is not n bits wide, the configured width."""
+    if message.n != n:
+        raise ValueError(f"message width {message.n} != configured width {n}")
+
+
 def checkpoint_reference_state(
     label: str, config: ProtocolConfig, message: Message
 ) -> StateVector:
     """Closed-form two-term state expected at a checkpoint.
 
-    Held as its two basis indices and amplitudes, independent of any
-    circuit evolution, so simulated checkpoints can be validated against it.
-    Defined for labels eq2 through eq6 and eq8, when the configuration
-    produces that label.
+    A table holds the paper's six two-term states as rows: the (Q, R, F, M,
+    P) values of the amp0 term and of the amp1 term, mu being the message as
+    an int. A row's two basis indices follow statevec's index convention,
+    so no register bit-string is built or parsed. The state is independent
+    of any circuit evolution, so simulated checkpoints can be validated
+    against it. Defined for labels eq2 through eq6 and eq8, when the
+    configuration produces that label.
     """
-    if message.n != config.n:
-        raise ValueError(f"message width {message.n} != configured width {config.n}")
+    check_message_width(message, config.n)
     if label not in REFERENCE_LABELS:
         raise ValueError(f"no closed-form reference for label {label!r}")
     if (label == "eq6" and not config.uncompute_memory) or (
@@ -237,36 +249,18 @@ def checkpoint_reference_state(
     ):
         raise ValueError(f"this configuration produces no checkpoint {label!r}")
     n = config.n
-    mu = message.bits
-    zeros = "0" * n
-    base = {"Q": "0", "R": "0", "F": "0", "M": zeros, "P": zeros}
-    ones = {"Q": "1", "R": "1", "F": "1"}
-
-    if label == "eq2":
-        term0 = base
-        term1 = {**base, "Q": "1", "F": "1"}
-    elif label == "eq3":
-        term0 = base
-        term1 = {**base, **ones}
-    elif label == "eq4":
-        term0 = base
-        term1 = {**base, **ones, "M": mu}
-    elif label == "eq5":
-        term0 = base
-        term1 = {**base, **ones, "M": mu, "P": mu}
-    elif label == "eq6":
-        term0 = base
-        term1 = {**base, **ones, "P": mu}
-    else:  # eq8: swap exchanges the Q/R/F markers between the two branches
-        term0 = {**base, **ones}
-        # Without the uncompute the message branch still remembers mu.
-        term1 = {**base, "M": zeros if config.uncompute_memory else mu, "P": mu}
-
-    layout = protocol_layout(n)
-    return StateVector(
-        layout,
-        support={
-            layout.index_for(term0): config.amp0,
-            layout.index_for(term1): config.amp1,
-        },
-    )
+    mu = int(message.bits, 2)  # base 2 is exempt from the int string-length limit
+    # Without the uncompute the message branch still remembers mu after the swap.
+    kept = 0 if config.uncompute_memory else mu
+    # (Q, R, F, M, P) of the amp0 term, then of the amp1 term; the swap
+    # exchanges the Q/R/F markers between the two branches at eq8.
+    terms = {
+        "eq2": ((0, 0, 0, 0, 0), (1, 0, 1, 0, 0)),
+        "eq3": ((0, 0, 0, 0, 0), (1, 1, 1, 0, 0)),
+        "eq4": ((0, 0, 0, 0, 0), (1, 1, 1, mu, 0)),
+        "eq5": ((0, 0, 0, 0, 0), (1, 1, 1, mu, mu)),
+        "eq6": ((0, 0, 0, 0, 0), (1, 1, 1, 0, mu)),
+        "eq8": ((1, 1, 1, 0, 0), (0, 0, 0, kept, mu)),
+    }[label]
+    index0, index1 = ((((q << 1 | r) << 1 | f) << n | m) << n | p for q, r, f, m, p in terms)
+    return StateVector(protocol_layout(n), support={index0: config.amp0, index1: config.amp1})

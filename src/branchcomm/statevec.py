@@ -810,7 +810,9 @@ def apply_circuit(
     """Run a circuit, returning the final state and checkpoint snapshots.
 
     Snapshots are keyed by checkpoint label, in execution order, and the
-    labels of one op in checkpoint-table order. An empty circuit returns
+    labels of one op in checkpoint-table order. Each op's support is wrapped
+    once: its labels share one StateVector, and the final state is the last
+    op's snapshot when that op carries a label. An empty circuit returns
     the input state unchanged and no snapshots.
     """
     layout = state.layout
@@ -822,9 +824,13 @@ def apply_circuit(
     snapshots: dict[str, StateVector] = {}
     for i, kernel in enumerate(circuit._kernels):
         held = kernel(held)
-        for label in labels_at.get(i, ()):
-            snapshots[label] = _state(layout, held)
-    return _state(layout, held), snapshots
+        labels = labels_at.get(i)
+        if labels:
+            snapshot = _state(layout, held)
+            for label in labels:
+                snapshots[label] = snapshot
+    # After a snapshotted last op, the final state is that snapshot.
+    return (snapshot if labels else _state(layout, held)), snapshots
 
 
 def fidelity(a: StateVector, b: StateVector) -> float:

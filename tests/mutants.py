@@ -139,6 +139,33 @@ MUTANTS = (
         ),
     ),
     Mutant(
+        "eq5's amp1 row loses M = mu",
+        "branchcomm/protocol.py",
+        '"eq5": ((0, 0, 0, 0, 0), (1, 1, 1, mu, mu)),',
+        '"eq5": ((0, 0, 0, 0, 0), (1, 1, 1, 0, mu)),',
+        (
+            "tests/test_protocol.py::test_checkpoint_sweep_matches_references[1]",
+            "tests/test_protocol.py::test_wide_checkpoints_match_references_without_dense_vectors[16]",
+        ),
+    ),
+    Mutant(
+        "the eq8 reference ignores uncompute_memory",
+        "branchcomm/protocol.py",
+        "kept = 0 if config.uncompute_memory else mu",
+        "kept = 0",
+        (
+            "tests/test_protocol.py::test_reference_state_closed_forms",
+            "tests/test_protocol.py::test_checkpoint_sweep_matches_references[1]",
+        ),
+    ),
+    Mutant(
+        "M and P exchanged in the reference's index formula",
+        "branchcomm/protocol.py",
+        "<< n | m) << n | p for",
+        "<< n | p) << n | m for",
+        ("tests/test_protocol.py::test_checkpoint_sweep_matches_references[1]",),
+    ),
+    Mutant(
         "fidelity summed in descending index order",
         "branchcomm/statevec.py",
         "for i, x in a.nonzero_items() if i in theirs), 0j",

@@ -5,8 +5,8 @@ hex digits of the SHA-256 of its stdout, its stderr and its -o file, and
 its exit code, with the values recorded when the case was added. A change
 that is meant to leave every output as it was must keep these.
 
-Left out: `verify`, whose samples come from numpy's Generator, whose
-streams numpy does not promise to keep across versions; and RY preparations
+Left out: `verify`, which draws nothing, since its stdout is pinned whole,
+suite by suite, by SUITE_STDOUT in tests/test_cli.py; and RY preparations
 other than +-0.0, whose bytes depend on the platform's cos, sin and atan2.
 """
 

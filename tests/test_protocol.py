@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from branchcomm import protocol, suites
-from branchcomm.branches import verify_transfer
+from branchcomm.branches import evaluate_transfer, verify_transfer
 from branchcomm.protocol import (
     Message,
     ProtocolConfig,
@@ -392,12 +392,18 @@ def test_checkpoint_labels_present():
     no_swap = run_protocol(ProtocolConfig(n=1, apply_branch_swap=False), Message("1"))
     assert "eq8" not in no_swap.checkpoints
     assert no_swap.final == no_swap.checkpoints["eq6"]
+    # The last op's snapshot is the final state itself, not a second wrap.
+    assert run.final is run.checkpoints["eq8"]
+    assert no_swap.final is no_swap.checkpoints["eq6"]
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_checkpoint_sweep_matches_references(n):
-    config = ProtocolConfig(n=n)
-    for message in all_messages(n):
+    """Every message at width n, with both preparations and all four flag
+    combinations: the engine's checkpoints against the closed forms."""
+    cases = [(config, message) for config, message in small_protocol_cases() if config.n == n]
+    assert len(cases) == 8 << n
+    for config, message in cases:
         run = run_protocol(config, message)
         for label, state in run.checkpoints.items():
             if label == "eq1":
@@ -405,6 +411,41 @@ def test_checkpoint_sweep_matches_references(n):
             reference = checkpoint_reference_state(label, config, message)
             assert fidelity(state, reference) >= 1 - 1e-12
             assert np.max(np.abs(state.amplitudes - reference.amplitudes)) <= 1e-12
+
+
+@pytest.mark.parametrize("n", [16, 64, 1024, 5000])
+def test_wide_checkpoints_match_references_without_dense_vectors(n):
+    """The blank, all-ones and one mixed message at width n, each with both
+    preparations and all four flag combinations, compared entry by entry."""
+    mixed = ("110" * n)[: n - 1] + "1"
+    for bits in ("0" * n, "1" * n, mixed):
+        message = Message(bits)
+        for (amp0, amp1), (uncompute, swap) in itertools.product(
+            ((SQRT_HALF, SQRT_HALF), (0.6, 0.8)), itertools.product((True, False), repeat=2)
+        ):
+            config = ProtocolConfig(n, amp0, amp1, uncompute, swap)
+            run = run_protocol(config, message)
+            labels = [label for label in run.checkpoints if label != "eq1"]
+            assert len(labels) == 4 + uncompute + swap
+            for label in labels:
+                got = run.checkpoints[label].nonzero_items()
+                want = checkpoint_reference_state(label, config, message).nonzero_items()
+                assert [i for i, _ in got] == [i for i, _ in want]
+                assert max(abs(a - b) for (_, a), (_, b) in zip(got, want)) <= 1e-12
+
+
+def test_width_mismatches_are_refused_with_their_texts():
+    config, message = ProtocolConfig(n=2), Message("101")
+    configured = re.escape("message width 3 != configured width 2")
+    with pytest.raises(ValueError, match=configured):
+        build_protocol_circuit(config, message)
+    with pytest.raises(ValueError, match=configured):
+        checkpoint_reference_state("eq2", config, message)
+    run = run_protocol(config, Message("10"))
+    with pytest.raises(ValueError, match=configured):
+        verify_transfer(run, message)
+    with pytest.raises(ValueError, match=re.escape("message width 3 != memory width 2")):
+        evaluate_transfer(run.final, message)
 
 
 def test_reference_state_closed_forms():
